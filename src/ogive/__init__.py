@@ -42,7 +42,6 @@ from .evaluation import (
 from .inference import (
     ProficiencyEstimate,
     SolverConfig,
-    map_estimate,
     map_estimate_scalar,
     map_estimate_vector,
     predict_next,

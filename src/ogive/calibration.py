@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dataio import DataError, Dataset
-from .inference import batched_scalar_map
+from .inference import batched_vector_map
 from .irt_core import ItemParams, bernoulli_probit_terms
 
 
@@ -197,6 +197,9 @@ def calibrate(
 
     lam_student = 1.0 / (2.0 * config.student_prior_variance)
     mu_student = config.student_prior_mean
+    # students are one-concept problems: every event reads the only coordinate
+    student_precision = np.array([[2.0 * lam_student]])
+    ev_concept = np.zeros((n_students, width), dtype=np.intp)
     log_alpha = np.full(n_items, np.log(config.discrimination_prior_mean))
     beta = np.full(n_items, config.difficulty_prior_mean)
     theta = (np.zeros(n_students) if initial_theta is None
@@ -228,9 +231,10 @@ def calibrate(
         alpha = np.exp(log_alpha)
         a_eff = np.where(mask, alpha[ev_item], 0.0)
         b_pad = beta[ev_item]
-        theta, _, _ = batched_scalar_map(
-            theta, a_eff, b_pad, ev_resp, mask, lam_student, mu_student
-        )
+        theta = batched_vector_map(
+            theta[:, None], a_eff, b_pad, ev_resp, ev_concept, mask, student_precision,
+            prior_mean=mu_student,
+        )[0][:, 0]
         after_students = joint_objective(theta, log_alpha, beta)
         slack = 1e-9 * max(1.0, abs(objective))
         if after_students < objective - slack:

@@ -27,6 +27,7 @@ from .dataio import DataError, Dataset, load_interactions, preprocess, write_int
 from .evaluation import (
     MODEL_KINDS,
     ModelVariant,
+    resolve_prior,
     run_online_evaluation,
     summary_table,
     write_bucket_tsv,
@@ -485,9 +486,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             prior = ScalarPriorConfig.from_precision_weight(variant.lam)
             estimate = map_estimate_scalar(events, now, temporal, prior)
         else:
-            from .evaluation import _resolve_prior
-
-            prior = _resolve_prior(variant, graph, bank)
+            prior = resolve_prior(variant, graph, bank)
             estimate = map_estimate_vector(events, now, temporal, prior)
         for name in item_names:
             predictions.append((name, predict_next(estimate, bank[name])))

@@ -20,7 +20,7 @@ from scipy.stats import rankdata
 from .calibration import ItemBank
 from .concept_graph import ConceptGraph, StructuredPrior, build_prior
 from .dataio import Dataset
-from .inference import DEFAULT_SOLVER, SolverConfig, batched_scalar_map, batched_vector_map
+from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map
 from .irt_core import PROB_FLOOR, effective_discriminations, probit
 
 REPORT_FORMAT_VERSION = "1"
@@ -233,7 +233,13 @@ def bucket_by_student_percent_correct(
     return buckets
 
 
-def _resolve_prior(model: ModelVariant, prior_graph, bank: ItemBank) -> StructuredPrior:
+def resolve_prior(model: ModelVariant, prior_graph, bank: ItemBank) -> StructuredPrior:
+    """The structured prior a vector model runs with, built from a graph if needed.
+
+    A given StructuredPrior must carry the model's lam and gamma; None stands
+    for the bank's concepts without edges, which only an uncoupled model
+    (gamma == 0) accepts.
+    """
     if isinstance(prior_graph, StructuredPrior):
         if prior_graph.lam != model.lam or prior_graph.gamma != model.gamma:
             raise ValueError(
@@ -280,10 +286,13 @@ def run_online_evaluation(
     for j, item_id in enumerate(ids):
         item_index[item_id] = j
 
-    prior = None
-    concept_to_idx: dict[str, int] = {}
-    if model.is_vector:
-        prior = _resolve_prior(model, prior_graph, bank)
+    # scalar models are the one-concept case: every item reads the only coordinate
+    item_concept = np.zeros(len(ids), dtype=np.intp)
+    if model.is_scalar:
+        precision = np.array([[2.0 * model.lam]])
+    elif model.is_vector:
+        prior = resolve_prior(model, prior_graph, bank)
+        precision = prior.precision
         concept_to_idx = prior.graph.index
         for item_id, cid in zip(ids, concepts):
             if cid not in concept_to_idx:
@@ -291,6 +300,7 @@ def run_online_evaluation(
                     f"item {item_id!r} is on concept {cid!r}, "
                     "which is not a node of the concept graph"
                 )
+        item_concept = np.array([concept_to_idx[cid] for cid in concepts], dtype=np.intp)
 
     # per-student event arrays, bank-unknown events dropped from the stream
     students: list[str] = []
@@ -315,8 +325,7 @@ def run_online_evaluation(
         seq_alpha.append(alphas[j_arr])
         seq_beta.append(betas[j_arr])
         seq_correct.append(np.array([r[1] for r in rows], dtype=float))
-        if model.is_vector:
-            seq_cidx.append(np.array([concept_to_idx[concepts[j]] for j in j_arr]))
+        seq_cidx.append(item_concept[j_arr])
         if clock == "wall":
             seq_time.append(np.array([r[2] for r in rows], dtype=float) / seconds_per_unit)
         else:
@@ -339,7 +348,7 @@ def run_online_evaluation(
     correct_pad = pad(seq_correct)
     time_pad = pad(seq_time)
     mask = np.arange(width)[None, :] < lengths[:, None]
-    cidx_pad = pad(seq_cidx, dtype=np.intp, fill=0) if model.is_vector else None
+    cidx_pad = pad(seq_cidx, dtype=np.intp, fill=0)
 
     probs = np.zeros((n_students, width))
     n_unconverged = 0
@@ -352,10 +361,7 @@ def run_online_evaluation(
             probs = np.where(denom > 0, prior_correct / np.maximum(denom, 1.0), 0.5)
     else:
         nu2 = model.nu2
-        if model.is_scalar:
-            theta = np.zeros(n_students)
-        else:
-            theta = np.zeros((n_students, prior.graph.n_concepts))
+        theta = np.zeros((n_students, len(precision)))
         for t in range(1, width + 1):
             idx = np.flatnonzero(lengths >= t)
             col = t - 1
@@ -370,24 +376,13 @@ def run_online_evaluation(
                 b = beta_pad[idx, hist]
                 r = correct_pad[idx, hist]
                 full = np.ones_like(r, dtype=bool)
-                if model.is_scalar:
-                    th, conv, _ = batched_scalar_map(
-                        theta[idx], a_eff, b, r, full, model.lam, 0.0,
-                        solver.gradient_tolerance, solver.max_iterations,
-                    )
-                    theta[idx] = th
-                else:
-                    th, conv, _ = batched_vector_map(
-                        theta[idx], a_eff, b, r, cidx_pad[idx, hist], full,
-                        prior.precision,
-                        solver.gradient_tolerance, solver.max_iterations,
-                    )
-                    theta[idx] = th
+                th, conv, _ = batched_vector_map(
+                    theta[idx], a_eff, b, r, cidx_pad[idx, hist], full, precision,
+                    solver.gradient_tolerance, solver.max_iterations,
+                )
+                theta[idx] = th
                 n_unconverged += int((~conv).sum())
-            if model.is_scalar:
-                th_ev = theta[idx]
-            else:
-                th_ev = theta[idx, cidx_pad[idx, col]]
+            th_ev = theta[idx, cidx_pad[idx, col]]
             z = alpha_pad[idx, col] * (th_ev - beta_pad[idx, col])
             probs[idx, col] = probit(z)
 

@@ -1,17 +1,20 @@
 """MAP estimation of current proficiency from a response history.
 
-The log-posterior objectives from `irt_core` are strictly concave whenever the
-prior precision is positive, so the maximizer is unique and a damped Newton
-iteration with an Armijo backtracking line search finds it quickly from any
-starting point.  Batched variants solve many independent per-student problems
-in lockstep; every array operation is elementwise per row, so each student's
-iterates are bit-identical no matter which other students share the batch.
+Every model kind is one model: a per-concept probit with a Gaussian prior of
+precision P and mean m.  Scalar models are its one-concept case, P = [[2*lam]].
+`batched_vector_map` is the one solver: damped Newton with an Armijo
+backtracking line search, run in lockstep over S independent problems.  The
+objective is strictly concave whenever P is positive definite, so each
+maximizer is unique.  Every array operation is elementwise per row, so each
+student's iterates are bit-identical no matter which other students share the
+batch.  The single-history API (`map_estimate_scalar`, `map_estimate_vector`)
+is the same solver at S = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +24,10 @@ from .irt_core import (
     ResponseEvent,
     ScalarPriorConfig,
     TemporalConfig,
-    approx_log_posterior_scalar,
-    approx_log_posterior_vector,
+    _concept_indices,
+    _history_arrays,
     bernoulli_probit_terms,
+    effective_discriminations,
     response_probability,
 )
 
@@ -79,79 +83,41 @@ class ProficiencyEstimate:
             ) from None
 
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]
-
-
-def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Ascent direction -H^{-1} g, with ridge escalation if the solve misbehaves."""
-    neg_h = -hess
-    scale = max(1.0, float(np.max(np.abs(neg_h))))
-    ridge = 0.0
-    eye = np.eye(len(grad))
-    for _ in range(8):
-        try:
-            d = np.linalg.solve(neg_h + ridge * eye, grad)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.all(np.isfinite(d)) and float(grad @ d) > 0.0:
-            return d
-        ridge = scale * 1e-10 if ridge == 0.0 else ridge * 100.0
-    return grad.copy()  # gradient ascent fallback
-
-
-def map_estimate(
-    objective: Objective,
-    solver: SolverConfig = DEFAULT_SOLVER,
-    n_dims: Optional[int] = None,
-    concept_ids: Optional[tuple[str, ...]] = None,
+def _single_history_estimate(
+    history: Sequence[ResponseEvent],
+    now: float,
+    temporal: TemporalConfig,
+    precision: np.ndarray,
+    prior_mean: float,
+    concept_idx: np.ndarray,
+    solver: SolverConfig,
+    concept_ids: Optional[tuple[str, ...]],
 ) -> ProficiencyEstimate:
-    """Maximize a concave objective returning (value, gradient, hessian).
-
-    The objective follows the vector convention: it takes a length-n array and
-    returns a float value, an (n,) gradient, and an (n, n) Hessian.  Scalar
-    problems pass n_dims=1.  Convergence is declared when the max-abs gradient
-    entry drops to solver.gradient_tolerance.
-    """
+    """One history solved as a batch of one; empty history returns the prior mean."""
+    theta0 = np.full(len(precision), float(prior_mean))
+    if len(history) == 0:
+        return ProficiencyEstimate(theta0, True, 0, 0.0, 0.0, concept_ids)
     if solver.initial_point is not None:
-        x = np.asarray(solver.initial_point, dtype=float).reshape(-1).copy()
-    else:
-        if n_dims is None:
-            n_dims = len(concept_ids) if concept_ids is not None else 1
-        x = np.zeros(n_dims)
-    if not np.all(np.isfinite(x)):
+        theta0 = np.asarray(solver.initial_point, dtype=float).reshape(-1)
+    if theta0.shape != (len(precision),):
+        raise ValueError(f"initial point has shape {theta0.shape}, expected ({len(precision)},)")
+    if not np.all(np.isfinite(theta0)):
         raise ValueError("initial point is not finite")
-    val, grad, hess = objective(x)
-    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-        raise ValueError("objective is not finite at the initial point")
-    tol = solver.gradient_tolerance
-    iterations = 0
-    while iterations < solver.max_iterations:
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= tol:
-            break
-        iterations += 1
-        d = _newton_direction(grad, np.atleast_2d(hess))
-        slope = float(grad @ d)
-        slack = ARMIJO_SLACK * (1.0 + abs(val))
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = x + step * d
-            v2, g2, h2 = objective(cand)
-            if np.isfinite(v2) and v2 >= val + ARMIJO_C1 * step * slope - slack:
-                x, val, grad, hess = cand, v2, g2, h2
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no ascent step exists at this scale; keep the best iterate
-    gnorm = float(np.max(np.abs(grad)))
+    alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
+    a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
+    events = (a_eff[None], betas[None], correct[None], concept_idx[None],
+              np.ones((1, len(history)), dtype=bool))
+    theta, converged, iterations = batched_vector_map(
+        theta0[None], *events, precision,
+        solver.gradient_tolerance, solver.max_iterations, prior_mean,
+    )
+    value, grad, _ = StackedLogPosterior(*events, precision, prior_mean)(theta)
     return ProficiencyEstimate(
-        theta=x,
-        converged=gnorm <= tol,
-        iterations=iterations,
-        final_gradient_norm=gnorm,
-        objective_value=float(val),
+        theta=theta[0],
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+        final_gradient_norm=float(np.max(np.abs(grad))),
+        objective_value=float(value[0]),
         concept_ids=concept_ids,
     )
 
@@ -163,26 +129,15 @@ def map_estimate_scalar(
     prior: ScalarPriorConfig,
     solver: SolverConfig = DEFAULT_SOLVER,
 ) -> ProficiencyEstimate:
-    """MAP estimate of a single proficiency; empty history returns the prior mean."""
-    if len(history) == 0:
-        return ProficiencyEstimate(
-            theta=np.array([prior.mean]),
-            converged=True,
-            iterations=0,
-            final_gradient_norm=0.0,
-            objective_value=0.0,
-            concept_ids=None,
-        )
+    """MAP estimate of a single proficiency; empty history returns the prior mean.
 
-    def objective(x):
-        out = approx_log_posterior_scalar(float(x[0]), history, now, temporal, prior)
-        return out.value, np.array([out.gradient]), np.array([[out.curvature]])
-
-    if solver.initial_point is None and prior.mean != 0.0:
-        solver = SolverConfig(
-            solver.gradient_tolerance, solver.max_iterations, np.array([prior.mean])
-        )
-    return map_estimate(objective, solver, n_dims=1)
+    Solved as the one-concept vector problem with precision [[2*lam]],
+    started at the prior mean unless the solver gives an initial point.
+    """
+    return _single_history_estimate(
+        history, now, temporal, np.array([[2.0 * prior.precision_weight]]), prior.mean,
+        np.zeros(len(history), dtype=np.intp), solver, None,
+    )
 
 
 def map_estimate_vector(
@@ -193,22 +148,10 @@ def map_estimate_vector(
     solver: SolverConfig = DEFAULT_SOLVER,
 ) -> ProficiencyEstimate:
     """MAP estimate of the concept-proficiency vector; empty history returns zero."""
-    concept_ids = prior.graph.concepts
-    if len(history) == 0:
-        return ProficiencyEstimate(
-            theta=np.zeros(prior.graph.n_concepts),
-            converged=True,
-            iterations=0,
-            final_gradient_norm=0.0,
-            objective_value=0.0,
-            concept_ids=concept_ids,
-        )
-
-    def objective(x):
-        out = approx_log_posterior_vector(x, history, now, temporal, prior)
-        return out.value, out.gradient, out.hessian
-
-    return map_estimate(objective, solver, concept_ids=concept_ids)
+    return _single_history_estimate(
+        history, now, temporal, prior.precision, 0.0,
+        _concept_indices(history, prior.graph.index), solver, prior.graph.concepts,
+    )
 
 
 def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
@@ -220,66 +163,65 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
     return response_probability(theta, item)
 
 
-# -- batched lockstep solvers -------------------------------------------------
+# -- the batched lockstep solver ----------------------------------------------
 #
-# Shared array contract: event arrays have shape (S, T) with a boolean mask of
-# valid cells; padded cells must carry a_eff == 0 so padding contributes zero
+# Array contract: event arrays have shape (S, T) with a boolean mask of valid
+# cells; padded cells must carry a_eff == 0 so padding contributes zero
 # gradient and curvature, and the mask zeroes padded log-likelihood terms.
 
 
-def batched_scalar_map(
-    theta0: np.ndarray,
-    a_eff: np.ndarray,
-    beta: np.ndarray,
-    correct: np.ndarray,
-    mask: np.ndarray,
-    lam: float,
-    mu0: float = 0.0,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-):
-    """Solve S independent scalar MAP problems in lockstep.
+class StackedLogPosterior:
+    """Log-posteriors of S independent problems that share one Gaussian prior.
 
-    Returns (theta, converged, iterations) with shapes (S,), (S,) bool, (S,) int.
+    Row s is -0.5 (theta_s - m)' P (theta_s - m) plus the Bernoulli-probit
+    terms of its valid events, event j reading coordinate concept_idx[s, j].
+    Called at an (S, C) theta it returns the (S,) values, the (S, C)
+    gradients and the (S, C) diagonal of the data curvature; the Hessian of
+    row s is diag(curvature_s) - P.  Index arrays are built once here, not
+    per call.  With one concept every event reads the only coordinate, so the
+    gather is a broadcast and the scatter a row sum, and concept_idx is not
+    read.
     """
-    theta = np.array(theta0, dtype=float, copy=True)
 
-    def evaluate(th):
-        z = a_eff * (th[:, None] - beta)
-        ll, d1, d2 = bernoulli_probit_terms(z, correct)
-        value = -lam * (th - mu0) ** 2 + np.where(mask, ll, 0.0).sum(axis=1)
-        grad = -2.0 * lam * (th - mu0) + (a_eff * d1).sum(axis=1)
-        curv = -2.0 * lam + (a_eff * a_eff * d2).sum(axis=1)
+    def __init__(self, a_eff, beta, correct, concept_idx, mask, precision,
+                 prior_mean: float = 0.0):
+        self.a_eff, self.beta, self.correct = a_eff, beta, correct
+        self.mask = None if mask.all() else mask  # the harness passes full rows
+        self.a_sq = a_eff * a_eff
+        self.precision = precision
+        self.prior_mean = prior_mean
+        n_students, n_concepts = a_eff.shape[0], precision.shape[0]
+        self.one_concept = n_concepts == 1
+        if not self.one_concept:
+            self.concept_idx = concept_idx
+            self.flat_idx = (np.arange(n_students)[:, None] * n_concepts + concept_idx).ravel()
+            self.shape = (n_students, n_concepts)
+
+    def __call__(self, theta: np.ndarray):
+        dev = theta - self.prior_mean
+        if self.one_concept:
+            ll, d1, d2 = bernoulli_probit_terms(self.a_eff * (theta - self.beta), self.correct)
+            p = self.precision[0, 0]
+            value = -(0.5 * p) * dev[:, 0] ** 2
+            grad = -(dev * p) + (self.a_eff * d1).sum(axis=1, keepdims=True)
+            curv = (self.a_sq * d2).sum(axis=1, keepdims=True)
+        else:
+            th_events = np.take_along_axis(theta, self.concept_idx, axis=1)
+            ll, d1, d2 = bernoulli_probit_terms(self.a_eff * (th_events - self.beta),
+                                                self.correct)
+            p_dev = dev @ self.precision
+            value = -0.5 * np.einsum("sc,sc->s", dev, p_dev)
+            size = self.shape[0] * self.shape[1]
+            grad = -p_dev + np.bincount(
+                self.flat_idx, weights=(self.a_eff * d1).ravel(), minlength=size
+            ).reshape(self.shape)
+            curv = np.bincount(
+                self.flat_idx, weights=(self.a_sq * d2).ravel(), minlength=size
+            ).reshape(self.shape)
+        if self.mask is not None:
+            ll = np.where(self.mask, ll, 0.0)
+        value += ll.sum(axis=1)
         return value, grad, curv
-
-    value, grad, curv = evaluate(theta)
-    iterations = np.zeros(theta.shape[0], dtype=np.int64)
-    stalled = np.zeros(theta.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        active = (np.abs(grad) > tol) & ~stalled
-        if not active.any():
-            break
-        iterations += active
-        direction = np.where(active, -grad / curv, 0.0)
-        slope = grad * direction
-        slack = ARMIJO_SLACK * (1.0 + np.abs(value))
-        step = np.ones_like(theta)
-        need = active.copy()
-        for _ in range(MAX_BACKTRACKS):
-            if not need.any():
-                break
-            cand = theta + np.where(need, step, 0.0) * direction
-            v2, g2, c2 = evaluate(cand)
-            ok = need & np.isfinite(v2) & (v2 >= value + ARMIJO_C1 * step * slope - slack)
-            theta = np.where(ok, cand, theta)
-            value = np.where(ok, v2, value)
-            grad = np.where(ok, g2, grad)
-            curv = np.where(ok, c2, curv)
-            need &= ~ok
-            step = np.where(need, 0.5 * step, step)
-        stalled |= need
-    converged = np.abs(grad) <= tol
-    return theta, converged, iterations
 
 
 def batched_vector_map(
@@ -292,46 +234,42 @@ def batched_vector_map(
     precision: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
+    prior_mean: float = 0.0,
 ):
-    """Solve S independent vector MAP problems sharing one prior precision.
+    """Solve S independent MAP problems sharing one prior precision and mean.
 
     theta0 is (S, C); event arrays are (S, T); concept_idx holds the coordinate
-    each event reads (0 on padded cells).  Returns (theta, converged, iterations).
+    each event reads (0 on padded cells, all 0 when C == 1).  A diagonal
+    precision takes the elementwise Newton step, a coupled one a batched
+    linear solve.  Convergence is declared per row when the max-abs gradient
+    entry drops to tol.  Returns (theta, converged, iterations) with shapes
+    (S, C), (S,) bool and (S,) int.
     """
+    objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, mask,
+                                    precision, prior_mean)
     theta = np.array(theta0, dtype=float, copy=True)
     n_students, n_concepts = theta.shape
-    flat_idx = (np.arange(n_students)[:, None] * n_concepts + concept_idx).ravel()
-    size = n_students * n_concepts
+    p_diag = np.diagonal(precision)
+    # a positive definite precision has a nonzero diagonal, so this counts
+    # whether any off-diagonal entry is nonzero
+    diagonal = np.count_nonzero(precision) == n_concepts
     diag = np.arange(n_concepts)
 
-    def evaluate(th):
-        th_events = np.take_along_axis(th, concept_idx, axis=1)
-        z = a_eff * (th_events - beta)
-        ll, d1, d2 = bernoulli_probit_terms(z, correct)
-        p_th = th @ precision
-        value = -0.5 * np.einsum("sc,sc->s", th, p_th)
-        value += np.where(mask, ll, 0.0).sum(axis=1)
-        grad = -p_th + np.bincount(
-            flat_idx, weights=(a_eff * d1).ravel(), minlength=size
-        ).reshape(n_students, n_concepts)
-        curv_diag = np.bincount(
-            flat_idx, weights=(a_eff * a_eff * d2).ravel(), minlength=size
-        ).reshape(n_students, n_concepts)
-        return value, grad, curv_diag
-
-    value, grad, curv_diag = evaluate(theta)
+    value, grad, curv = objective(theta)
     iterations = np.zeros(n_students, dtype=np.int64)
     stalled = np.zeros(n_students, dtype=bool)
     for _ in range(max_iter):
-        gnorm = np.max(np.abs(grad), axis=1)
-        active = (gnorm > tol) & ~stalled
+        active = (np.abs(grad).max(axis=1) > tol) & ~stalled
         if not active.any():
             break
         iterations += active
-        # -H = P + diag(-curv); curvature terms are <= 0 so -H is positive definite
-        neg_hess = np.broadcast_to(precision, (n_students, n_concepts, n_concepts)).copy()
-        neg_hess[:, diag, diag] -= curv_diag
-        direction = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
+        # -H = P - diag(curv); curvature terms are <= 0 so -H is positive definite
+        if diagonal:
+            direction = grad / (p_diag - curv)
+        else:
+            neg_hess = np.broadcast_to(precision, (n_students, n_concepts, n_concepts)).copy()
+            neg_hess[:, diag, diag] -= curv
+            direction = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
         direction[~active] = 0.0
         slope = np.einsum("sc,sc->s", grad, direction)
         slack = ARMIJO_SLACK * (1.0 + np.abs(value))
@@ -340,15 +278,17 @@ def batched_vector_map(
         for _ in range(MAX_BACKTRACKS):
             if not need.any():
                 break
-            cand = theta + (np.where(need, step, 0.0))[:, None] * direction
-            v2, g2, c2 = evaluate(cand)
+            # rows that no longer need a step are evaluated but never taken
+            cand = theta + step[:, None] * direction
+            v2, g2, c2 = objective(cand)
             ok = need & np.isfinite(v2) & (v2 >= value + ARMIJO_C1 * step * slope - slack)
-            theta[ok] = cand[ok]
+            take = ok[:, None]
+            np.copyto(theta, cand, where=take)
+            np.copyto(grad, g2, where=take)
+            np.copyto(curv, c2, where=take)
             value = np.where(ok, v2, value)
-            grad[ok] = g2[ok]
-            curv_diag[ok] = c2[ok]
             need &= ~ok
             step = np.where(need, 0.5 * step, step)
         stalled |= need
-    converged = np.max(np.abs(grad), axis=1) <= tol
+    converged = np.abs(grad).max(axis=1) <= tol
     return theta, converged, iterations

@@ -6,8 +6,9 @@ with Phi the standard normal CDF.  Older responses enter the posterior over
 the current proficiency through an attenuated "effective discrimination"
 alpha / sqrt(1 + alpha^2 * nu2 * elapsed), where nu2 is the per-unit drift
 variance of the proficiency random walk.  Both the scalar objective and the
-per-concept vector objective are concave; each returns value, gradient and
-curvature so Newton solvers can consume them directly.
+per-concept vector objective are concave and return value, gradient and
+curvature; they are the single-history reference for the batched objective
+that the solver in `inference` runs.
 """
 
 from __future__ import annotations
@@ -199,22 +200,56 @@ def gaussian_probit_integral(alpha: float, beta: float, mu: float,
     return float(probit(alpha * (mu - beta) / math.sqrt(1.0 + alpha * alpha * sigma2)))
 
 
+# Past this |zs| the log-space ratio loses digits to cancellation on the losing
+# side (relative error about eps*zs^4/2 in d2) and zs*zs overflows near 1e154;
+# on the winning side phi(zs) underflows to exactly 0 from zs = 38.6 on.
+_TAIL_Z = 40.0
+# x*(R(-x) - x) = sum_k c_k x^(-2k), highest power first; through k = 7 the
+# series is exact to double precision for x >= 40
+_TAIL_SERIES = (-1708394.0, 110410.0, -8162.0, 706.0, -74.0, 10.0, -2.0, 1.0)
+
+
+def _tail_mills(zs: np.ndarray):
+    """(R(zs), -R(zs)*(zs + R(zs))) for |zs| > _TAIL_Z, from the asymptotic series."""
+    x = np.abs(zs)
+    inv_x = 1.0 / x
+    u = inv_x * inv_x
+    x_delta = np.zeros_like(x)
+    for c in _TAIL_SERIES:
+        x_delta = x_delta * u + c
+    delta = x_delta * inv_x  # R(-x) - x
+    losing = zs < 0.0
+    mills = np.where(losing, x + delta, 0.0)
+    d2 = np.where(losing, -(x_delta + delta * delta), -0.0)
+    return mills, d2
+
+
 def bernoulli_probit_terms(z: np.ndarray, correct: np.ndarray):
     """Per-response log-likelihood terms and derivatives in z = alpha*(theta-beta).
 
     Returns (ll, d1, d2) where ll = r*log(p) + (1-r)*log(1-p) with p = Phi(z),
     and d1, d2 are its first and second derivatives with respect to z.
-    Evaluated through log_ndtr and the inverse Mills ratio so nothing
-    overflows at extreme z and value stays consistent with derivatives.
+    Evaluated through log_ndtr and the inverse Mills ratio so value stays
+    consistent with derivatives; past |z| = 40 the ratio comes from its
+    asymptotic series, so -1 <= d2 <= 0 holds for every z and infinite z
+    gives the limits (ll and d1 infinite on the losing side, d2 = -1 there).
     """
     sign = np.where(correct > 0, 1.0, -1.0)
     zs = sign * z
     log_p = log_ndtr(zs)
     ll = log_p
+    tail = None
+    if np.abs(zs).max(initial=0.0) > _TAIL_Z:
+        tail = np.abs(zs) > _TAIL_Z
+        zs_tail = zs[tail]
+        zs = np.where(tail, 0.0, zs)
+        log_p = np.where(tail, 0.0, log_p)
     # inverse Mills ratio R(zs) = phi(zs) / Phi(zs), computed in log space
     mills = np.exp(-0.5 * zs * zs - _LOG_SQRT_2PI - log_p)
-    d1 = sign * mills
     d2 = -mills * (zs + mills)
+    if tail is not None:
+        mills[tail], d2[tail] = _tail_mills(zs_tail)
+    d1 = sign * mills
     return ll, d1, d2
 
 
@@ -245,6 +280,20 @@ def _history_arrays(history: Sequence[ResponseEvent], now: float,
             f"event {bad} (item {history[bad].item.item_id!r}) is after now={now}"
         )
     return alphas, betas, correct, elapsed
+
+
+def _concept_indices(history: Sequence[ResponseEvent], index: dict) -> np.ndarray:
+    """Coordinate each event reads; raises if its concept is not in `index`."""
+    concept_idx = np.empty(len(history), dtype=np.intp)
+    for j, ev in enumerate(history):
+        cid = ev.item.concept_id
+        if cid not in index:
+            raise KeyError(
+                f"event {j} (item {ev.item.item_id!r}): concept {cid!r} "
+                "is not a node of the prior's graph"
+            )
+        concept_idx[j] = index[cid]
+    return concept_idx
 
 
 def approx_log_posterior_scalar(theta: float, history: Sequence[ResponseEvent],
@@ -285,15 +334,7 @@ def approx_log_posterior_vector(theta_vec: np.ndarray,
         raise ValueError(
             f"theta_vec has shape {theta_vec.shape}, expected ({len(index)},)"
         )
-    concept_idx = np.empty(len(history), dtype=np.intp)
-    for j, ev in enumerate(history):
-        cid = ev.item.concept_id
-        if cid not in index:
-            raise KeyError(
-                f"event {j} (item {ev.item.item_id!r}): concept {cid!r} "
-                "is not a node of the prior's graph"
-            )
-        concept_idx[j] = index[cid]
+    concept_idx = _concept_indices(history, index)
     alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
     a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
     z = a_eff * (theta_vec[concept_idx] - betas)

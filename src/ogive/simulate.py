@@ -136,9 +136,7 @@ def generate(scenario: SimulationScenario) -> SimulationResult:
     nu2 = temporal.drift_variance
     chol_shape = None
     if scenario.drift_coupling == "prior_shaped":
-        cov = np.linalg.inv(prior.precision)
-        d = 1.0 / np.sqrt(np.diag(cov))
-        chol_shape = np.linalg.cholesky(cov * d[:, None] * d[None, :])
+        chol_shape = np.linalg.cholesky(prior.correlation())
 
     student_ids = _id_series("s", scenario.n_students)
     student_seeds = students_ss.spawn(scenario.n_students)

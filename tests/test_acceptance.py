@@ -20,7 +20,7 @@ from ogive.calibration import CalibrationConfig, ItemBank, calibrate, recovery_c
 from ogive.concept_graph import build_prior, chain_graph, save_graph
 from ogive.dataio import Dataset, InteractionRecord, preprocess, write_interactions
 from ogive.evaluation import ModelVariant, compute_auc, run_online_evaluation
-from ogive.inference import map_estimate_scalar, map_estimate_vector
+from ogive.inference import StackedLogPosterior, map_estimate_scalar, map_estimate_vector
 from ogive.irt_core import (
     STATIC,
     ItemParams,
@@ -83,6 +83,26 @@ def random_vector_instance(rng, max_events=60, max_concepts=10):
     return theta, history, now, temporal, prior
 
 
+def random_stacked_instance(rng, max_events=40, max_concepts=6):
+    """The batched objective that evaluate and calibrate run, on a random batch.
+
+    Half the draws are one-concept (the scalar models and calibration), half
+    coupled chains; rows are ragged with padded cells masked out and carrying
+    a_eff == 0, and the prior mean is nonzero.
+    """
+    c = 1 if rng.random() < 0.5 else int(rng.integers(2, max_concepts + 1))
+    prior = build_prior(chain_graph(c), float(rng.uniform(0.2, 2.0)), float(rng.uniform(0, 2.0)))
+    s, t = int(rng.integers(1, 8)), int(rng.integers(1, max_events + 1))
+    mask = np.arange(t)[None, :] < rng.integers(0, t + 1, size=s)[:, None]
+    a_eff = np.where(mask, rng.uniform(0.05, 2.5, size=(s, t)), 0.0)
+    beta = rng.uniform(-2, 2, size=(s, t))
+    correct = rng.integers(0, 2, size=(s, t)).astype(float)
+    cidx = np.where(mask, rng.integers(0, c, size=(s, t)), 0)
+    objective = StackedLogPosterior(a_eff, beta, correct, cidx, mask, prior.precision,
+                                    float(rng.uniform(-0.5, 0.5)))
+    return rng.uniform(-3, 3, size=(s, c)), objective, prior.precision
+
+
 @pytest.mark.criterion("C1", "integral and probit match independent numeric oracles")
 def test_c01_numerical_identities():
     t0 = time.monotonic()
@@ -143,6 +163,21 @@ def test_c02_finite_difference_consistency():
             fd_h = (vp.gradient - vm.gradient) / (2 * h)
             scale = np.maximum(1.0, np.abs(out.hessian[:, k]))
             assert np.all(np.abs(fd_h - out.hessian[:, k]) <= 1e-4 * scale)
+
+    for _ in range(60):
+        theta, objective, precision = random_stacked_instance(rng)
+        _, grad, curv = objective(theta)
+        c = theta.shape[1]
+        for k in range(c):
+            e = np.zeros(c)
+            e[k] = h
+            vp, gp, _ = objective(theta + e)
+            vm, gm, _ = objective(theta - e)
+            fd_g = (vp - vm) / (2 * h)
+            assert np.all(np.abs(fd_g - grad[:, k]) <= 1e-6 * np.maximum(1.0, np.abs(grad[:, k])))
+            hess_k = -precision[:, k] + np.where(np.arange(c) == k, curv, 0.0)
+            fd_h = (gp - gm) / (2 * h)
+            assert np.all(np.abs(fd_h - hess_k) <= 1e-4 * np.maximum(1.0, np.abs(hess_k)))
     assert time.monotonic() - t0 < 30.0
 
 
@@ -158,6 +193,11 @@ def test_c03_concavity_probe():
         out = approx_log_posterior_vector(theta, history, now, temporal, prior)
         eigs = np.linalg.eigvalsh(out.hessian)
         assert eigs.max() <= 1e-10
+    for _ in range(200):
+        theta, objective, precision = random_stacked_instance(rng, max_events=30)
+        _, _, curv = objective(theta)
+        for row in curv:
+            assert np.linalg.eigvalsh(np.diag(row) - precision).max() <= 1e-10
 
 
 @pytest.mark.criterion("C4", "zero drift reproduces the static models bit for bit")

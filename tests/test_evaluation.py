@@ -18,9 +18,9 @@ from ogive.evaluation import (
     MODEL_KINDS,
     REPORT_FORMAT_VERSION,
     ModelVariant,
-    _resolve_prior,
     bucket_by_student_percent_correct,
     compute_auc,
+    resolve_prior,
     run_online_evaluation,
     summary_table,
     write_bucket_tsv,
@@ -112,23 +112,23 @@ def test_resolve_prior_branches():
     bank = small_bank()
     graph = chain_graph(2)
     model = ModelVariant("tskirt", nu2=0.1, lam=1.0, gamma=0.5)
-    built = _resolve_prior(model, graph, bank)
+    built = resolve_prior(model, graph, bank)
     assert built.lam == 1.0 and built.gamma == 0.5
 
-    same = _resolve_prior(model, built, bank)
+    same = resolve_prior(model, built, bank)
     assert same is built
     with pytest.raises(ValueError, match="pass the graph"):
-        _resolve_prior(ModelVariant("tskirt", nu2=0.1, lam=2.0, gamma=0.5), built, bank)
+        resolve_prior(ModelVariant("tskirt", nu2=0.1, lam=2.0, gamma=0.5), built, bank)
 
     with pytest.raises(ValueError, match="concept graph"):
-        _resolve_prior(model, None, bank)
+        resolve_prior(model, None, bank)
     factorial = ModelVariant("factorial_mvn", lam=1.0)
-    from_bank = _resolve_prior(factorial, None, bank)
+    from_bank = resolve_prior(factorial, None, bank)
     assert from_bank.graph.concepts == bank.concepts()
     assert from_bank.gamma == 0.0
 
     with pytest.raises(TypeError):
-        _resolve_prior(model, 42, bank)
+        resolve_prior(model, 42, bank)
 
 
 # -- ranking metric -----------------------------------------------------------

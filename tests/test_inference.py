@@ -1,10 +1,12 @@
-"""MAP solver correctness against an in-test golden-section oracle.
+"""MAP solver correctness against in-test oracles.
 
 The one-correct-response fixture (alpha=1, beta=0, lam=0.5, no drift) has its
 maximizer at the root of mills(theta) = theta; golden-section search on the
 exact objective, run below as an independent oracle, gives
-0.506054468989180763.  Batched lockstep solvers are checked row for row
-against the single-history solver on the same problems.
+0.506054468989180763.  Batched lockstep solves are checked row for row against
+the reference objectives `approx_log_posterior_*`: the reference gradient
+vanishes at the returned point and scipy's BFGS on the negated reference lands
+on the same point.
 """
 
 import math
@@ -13,15 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from ogive.concept_graph import build_prior, chain_graph
 from ogive.inference import (
     DEFAULT_SOLVER,
     ProficiencyEstimate,
     SolverConfig,
-    batched_scalar_map,
     batched_vector_map,
-    map_estimate,
     map_estimate_scalar,
     map_estimate_vector,
     predict_next,
@@ -33,6 +34,7 @@ from ogive.irt_core import (
     ScalarPriorConfig,
     TemporalConfig,
     approx_log_posterior_scalar,
+    approx_log_posterior_vector,
     probit,
 )
 
@@ -152,11 +154,10 @@ def test_max_iterations_zero_returns_initial_point():
 
 
 def test_non_finite_initial_point_rejected():
-    def objective(x):
-        return float(x[0]), np.ones(1), -np.ones((1, 1))
-
+    history = scalar_events([(1.0, 0.0, 1)])
     with pytest.raises(ValueError):
-        map_estimate(objective, SolverConfig(initial_point=np.array([np.nan])))
+        map_estimate_scalar(history, 2.0, STATIC, ScalarPriorConfig(),
+                            solver=SolverConfig(initial_point=np.array([np.nan])))
 
 
 def test_initialization_independence():
@@ -283,36 +284,92 @@ def _random_padded_problems(rng, n_students, max_events):
     return a, beta, correct, mask, lengths
 
 
+def assert_reference_optimum(objective, theta):
+    """theta maximizes `objective` (x -> (value, gradient)), checked independently.
+
+    The reference gradient vanishes there, and scipy's BFGS on the negated
+    objective, started away from theta, lands on the same point.
+    """
+    _, grad = objective(theta)
+    assert np.max(np.abs(grad)) <= 1e-6
+    result = minimize(
+        lambda x: tuple(-np.asarray(v) for v in objective(x)), np.zeros_like(theta) + 0.5,
+        jac=True, method="BFGS", options={"gtol": 1e-11},
+    )
+    np.testing.assert_allclose(result.x, theta, atol=1e-6)
+
+
+def scalar_reference(history, now, temporal, prior):
+    def objective(x):
+        out = approx_log_posterior_scalar(float(x[0]), history, now, temporal, prior)
+        return out.value, np.array([out.gradient])
+
+    return objective
+
+
+def vector_reference(history, now, temporal, prior):
+    def objective(x):
+        out = approx_log_posterior_vector(x, history, now, temporal, prior)
+        return out.value, out.gradient
+
+    return objective
+
+
 def test_batched_scalar_matches_single_history_solver():
     rng = np.random.default_rng(5)
     a, beta, correct, mask, lengths = _random_padded_problems(rng, 40, 30)
-    lam = 0.8
-    theta, converged, iterations = batched_scalar_map(
-        np.zeros(40), a, beta, correct, mask, lam=lam
+    lam, mean = 0.8, 0.3
+    theta, converged, iterations = batched_vector_map(
+        np.full((40, 1), mean), a, beta, correct, np.zeros(a.shape, dtype=np.intp), mask,
+        np.array([[2.0 * lam]]), prior_mean=mean,
     )
+    assert theta.shape == (40, 1)
     assert converged.all()
-    prior = ScalarPriorConfig.from_precision_weight(lam)
+    prior = ScalarPriorConfig.from_precision_weight(lam, mean)
     for s in range(40):
         n = int(lengths[s])
-        pairs = [(a[s, i], beta[s, i], int(correct[s, i])) for i in range(n)]
-        ref = map_estimate_scalar(scalar_events(pairs), float(n + 1), STATIC, prior)
-        assert theta[s] == pytest.approx(ref.theta[0], abs=1e-7)
         if n == 0:
-            assert theta[s] == 0.0 and iterations[s] == 0
+            assert theta[s, 0] == mean and iterations[s] == 0
+            continue
+        history = scalar_events([(a[s, i], beta[s, i], int(correct[s, i])) for i in range(n)])
+        assert_reference_optimum(scalar_reference(history, float(n + 1), STATIC, prior), theta[s])
+        ref = map_estimate_scalar(history, float(n + 1), STATIC, prior)
+        assert theta[s, 0] == pytest.approx(ref.theta[0], abs=1e-7)
 
 
 def test_batched_scalar_warm_start_lands_on_same_optimum():
     rng = np.random.default_rng(6)
-    a, beta, correct, mask, _ = _random_padded_problems(rng, 25, 20)
-    cold, conv_c, _ = batched_scalar_map(np.zeros(25), a, beta, correct, mask, lam=1.0)
-    warm_init = cold + rng.normal(scale=0.5, size=25)
-    warm, conv_w, iters = batched_scalar_map(warm_init, a, beta, correct, mask, lam=1.0)
+    a, beta, correct, mask, lengths = _random_padded_problems(rng, 25, 20)
+    cidx = np.zeros(a.shape, dtype=np.intp)
+    precision = np.array([[2.0]])
+
+    def solve(theta0):
+        return batched_vector_map(theta0, a, beta, correct, cidx, mask, precision)
+
+    cold, conv_c, _ = solve(np.zeros((25, 1)))
+    warm, conv_w, iters = solve(cold + rng.normal(scale=0.5, size=(25, 1)))
     assert conv_c.all() and conv_w.all()
     np.testing.assert_allclose(warm, cold, atol=1e-7)
+    prior = ScalarPriorConfig.from_precision_weight(1.0)
+    for s in np.flatnonzero(lengths):
+        n = int(lengths[s])
+        history = scalar_events([(a[s, i], beta[s, i], int(correct[s, i])) for i in range(n)])
+        _, grad = scalar_reference(history, float(n + 1), STATIC, prior)(warm[s])
+        assert abs(grad[0]) <= 1e-6
     # restart at the solution itself: nothing to do
-    again, conv_a, iters_a = batched_scalar_map(cold, a, beta, correct, mask, lam=1.0)
+    again, conv_a, iters_a = solve(cold)
     assert conv_a.all()
     assert iters_a.max() <= 1
+
+
+def _vector_history(s, a, beta, correct, cidx, mask, names):
+    return [
+        ResponseEvent(
+            ItemParams(f"q{s}_{i}", a[s, i], beta[s, i], concept_id=names[cidx[s, i]]),
+            int(correct[s, i]), step_index=i + 1,
+        )
+        for i in range(a.shape[1]) if mask[s, i]
+    ]
 
 
 def test_batched_vector_matches_single_history_solver():
@@ -334,15 +391,9 @@ def test_batched_vector_matches_single_history_solver():
         np.zeros((n_students, 4)), a, beta, correct, cidx, mask, prior.precision
     )
     assert converged.all()
-    names = graph.concepts
     for s in range(n_students):
-        history = [
-            ResponseEvent(
-                ItemParams(f"q{s}_{i}", a[s, i], beta[s, i], concept_id=names[cidx[s, i]]),
-                int(correct[s, i]), step_index=i + 1,
-            )
-            for i in range(t) if mask[s, i]
-        ]
+        history = _vector_history(s, a, beta, correct, cidx, mask, graph.concepts)
+        assert_reference_optimum(vector_reference(history, float(t + 1), STATIC, prior), theta[s])
         ref = map_estimate_vector(history, float(t + 1), STATIC, prior)
         assert ref.converged
         np.testing.assert_allclose(theta[s], ref.theta, atol=1e-7)
@@ -350,7 +401,8 @@ def test_batched_vector_matches_single_history_solver():
 
 def test_batched_vector_warm_start_lands_on_same_optimum():
     rng = np.random.default_rng(13)
-    prior = build_prior(chain_graph(3), lam=0.7, gamma=0.4)
+    graph = chain_graph(3)
+    prior = build_prior(graph, lam=0.7, gamma=0.4)
     n_students, t = 10, 8
     a = rng.uniform(0.3, 2.5, size=(n_students, t))
     beta = rng.uniform(-2, 2, size=(n_students, t))
@@ -366,3 +418,7 @@ def test_batched_vector_warm_start_lands_on_same_optimum():
     )
     assert conv_c.all() and conv_w.all()
     np.testing.assert_allclose(warm, cold, atol=1e-7)
+    for s in range(n_students):
+        history = _vector_history(s, a, beta, correct, cidx, mask, graph.concepts)
+        _, grad = vector_reference(history, float(t + 1), STATIC, prior)(warm[s])
+        assert np.max(np.abs(grad)) <= 1e-6

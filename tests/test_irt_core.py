@@ -1,5 +1,8 @@
 """Unit tests for the probit response kernel and log-posterior objectives."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +209,57 @@ def test_bernoulli_probit_terms_extreme_arguments_stay_finite():
         assert np.all(d2 <= 0.0)
     ll, d1, d2 = bernoulli_probit_terms(np.array([-3.0, 0.0, 3.0]), np.ones(3))
     assert np.all(d2 < 0.0)
+
+
+def _probit_terms_oracle(zs):
+    """(log Phi(zs), R(zs), -R(zs)*(zs + R(zs))) with R = phi/Phi, in mpmath.
+
+    Past |zs| = 5 the tail goes through I = a*Mills(a) =
+    int_0^inf exp(-s - s^2/(2a^2)) ds and J = a^2*(1 - I), a = |zs|, both
+    free of cancellation: on the losing side R = a/I and the curvature is
+    -J/I^2.
+    """
+    if np.isinf(zs):
+        return (-np.inf, np.inf, -1.0) if zs < 0 else (0.0, 0.0, 0.0)
+    x = mp.mpf(float(zs))
+    if abs(x) <= 5:
+        cdf = mp.ncdf(x)
+        r = mp.npdf(x) / cdf
+        return float(mp.log(cdf)), float(r), float(-r * (x + r))
+    a = abs(x)
+    i = mp.quad(lambda s: mp.exp(-s - s * s / (2 * a * a)), [0, 1, mp.inf])
+    if x < 0:
+        j = mp.quad(lambda s: -mp.exp(-s) * mp.expm1(-s * s / (2 * a * a)) * a * a,
+                    [0, 1, mp.inf])
+        return float(mp.log(mp.npdf(a) * i / a)), float(a / i), float(-j / i**2)
+    q = mp.npdf(a) * i / a
+    r = mp.npdf(a) / (1 - q)
+    return float(mp.log1p(-q)), float(r), float(-r * (x + r))
+
+
+def test_bernoulli_probit_terms_tails_match_mpmath():
+    # a log grid to 1e300, plus both sides of the switch to the series at 40
+    mag = np.concatenate([np.logspace(-3, 2, 16), [39.9, 40.1], np.logspace(3, 300, 28)])
+    zs = np.concatenate([-mag, [0.0], mag, [-np.inf, np.inf]])
+    with mp.workdps(20):
+        expected = np.array([_probit_terms_oracle(v) for v in zs])
+    for correct in (0, 1):
+        sign = 1.0 if correct else -1.0
+        with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
+                                                    invalid="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            ll, d1, d2 = bernoulli_probit_terms(sign * zs, np.full(zs.shape, correct))
+        # below the switch the log-space ratio keeps its cancellation error,
+        # about eps*z^2/2 in d1 and eps*z^4/2 in d2 (2e-10 at |z| = 40)
+        for got, want, rtol in ((ll, expected[:, 0], 1e-13),
+                                (sign * d1, expected[:, 1], 1e-12),
+                                (d2, expected[:, 2], 1e-9)):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-300)
+        assert np.all((d2 >= -1.0) & (d2 <= 0.0))
+    dense = np.linspace(-1e3, 1e3, 200_001)
+    for correct in (0, 1):
+        _, _, d2 = bernoulli_probit_terms(dense, np.full(dense.shape, correct))
+        assert np.all((d2 >= -1.0) & (d2 <= 0.0))
 
 
 @given(st.floats(-200, 200), st.integers(0, 1))
