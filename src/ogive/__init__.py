@@ -14,7 +14,6 @@ from .concept_graph import (
     build_prior,
     chain_graph,
     load_graph,
-    log_prior_density,
     parse_graph,
     save_graph,
 )

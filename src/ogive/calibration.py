@@ -1,11 +1,15 @@
 """Item parameter fitting on a training split with a static scalar model.
 
-Alternating MAP: fix items and solve every student's proficiency (Newton in
-lockstep), then fix students and solve each item's (discrimination,
-difficulty) under its normal priors (L-BFGS-B over log-discrimination to keep
-it positive), repeating until the mean absolute parameter change is small.
-Both half-steps maximize the same penalized joint log-posterior, so the
-objective is nondecreasing across half-steps; that is checked every round.
+Alternating MAP: fix items and solve every student's proficiency, then fix
+students and update every item's difficulty and discrimination, repeating
+until the mean absolute parameter change is small.  With the other
+parameters fixed, each block is a one-concept probit MAP problem under a
+normal prior, so every half-step runs the batched Newton solver
+`batched_vector_map`: students over student-major rows, items over
+item-major rows, the item half-step as ITEM_SWEEPS sweeps of a difficulty
+block then a discrimination block clipped at the floor.  All blocks maximize
+the same penalized joint log-posterior, so the objective is nondecreasing
+across half-steps; that is checked every round.
 
 The latent scale is pinned by the fixed student prior N(0, 0.5), the same
 prior the online models use, so calibrated banks feed inference without
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dataio import DataError, Dataset
 from .inference import batched_vector_map
@@ -141,18 +144,27 @@ class ItemBank:
         return cls(items)
 
 
-def _item_negative_objective(x, theta, correct, cfg: CalibrationConfig):
-    """Negated per-item log-posterior over (log discrimination, difficulty), with gradient."""
-    log_alpha, beta = x
-    alpha = np.exp(log_alpha)
-    z = alpha * (theta - beta)
-    ll, d1, _ = bernoulli_probit_terms(z, correct)
-    am, av = cfg.discrimination_prior_mean, cfg.discrimination_prior_variance
-    bm, bv = cfg.difficulty_prior_mean, cfg.difficulty_prior_variance
-    value = ll.sum() - (beta - bm) ** 2 / (2.0 * bv) - (alpha - am) ** 2 / (2.0 * av)
-    d_alpha = float((d1 * (theta - beta)).sum()) - (alpha - am) / av
-    d_beta = -alpha * float(d1.sum()) - (beta - bm) / bv
-    return -value, np.array([-alpha * d_alpha, -d_beta])
+# alpha and beta are coupled: one or two sweeps a round end short of the joint item optimum
+ITEM_SWEEPS = 3
+
+
+def _padded(group: np.ndarray, n_groups: int, *columns: np.ndarray):
+    """Rows of `columns` grouped by `group` in record order: (mask, *padded columns).
+
+    Every group gets a row, all masked when it holds no records.
+    """
+    lengths = np.bincount(group, minlength=n_groups)
+    order = np.argsort(group, kind="stable")
+    rows = group[order]
+    cols = np.arange(len(group)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    mask = np.zeros((n_groups, int(lengths.max())), dtype=bool)
+    mask[rows, cols] = True
+    padded = []
+    for column in columns:
+        out = np.zeros(mask.shape, dtype=column.dtype)
+        out[rows, cols] = column[order]
+        padded.append(out)
+    return (mask, *padded)
 
 
 def calibrate(
@@ -183,59 +195,52 @@ def calibrate(
     resp = np.array([r.correct for r in records], dtype=float)
     counts = {item_ids[j]: int(c) for j, c in enumerate(np.bincount(q_idx, minlength=n_items))}
 
-    # padded (student, attempt) layout for the lockstep student half-step
-    lengths = np.bincount(s_idx, minlength=n_students)
-    width = int(lengths.max())
-    order = np.argsort(s_idx, kind="stable")
-    cols = np.concatenate([np.arange(n) for n in lengths]) if len(records) else np.array([], int)
-    ev_item = np.zeros((n_students, width), dtype=int)
-    ev_resp = np.zeros((n_students, width))
-    mask = np.zeros((n_students, width), dtype=bool)
-    ev_item[s_idx[order], cols] = q_idx[order]
-    ev_resp[s_idx[order], cols] = resp[order]
-    mask[s_idx[order], cols] = True
+    # student-major rows for the student half-step, item-major for the item one
+    mask, ev_item, ev_resp = _padded(s_idx, n_students, q_idx, resp)
+    item_mask, item_student, item_resp = _padded(q_idx, n_items, s_idx, resp)
+    # every problem is one-concept, so every event reads the only coordinate
+    ev_concept = np.zeros(mask.shape, dtype=np.intp)
+    item_concept = np.zeros(item_mask.shape, dtype=np.intp)
 
     lam_student = 1.0 / (2.0 * config.student_prior_variance)
     mu_student = config.student_prior_mean
-    # students are one-concept problems: every event reads the only coordinate
     student_precision = np.array([[2.0 * lam_student]])
-    ev_concept = np.zeros((n_students, width), dtype=np.intp)
-    log_alpha = np.full(n_items, np.log(config.discrimination_prior_mean))
+    difficulty_precision = np.array([[1.0 / config.difficulty_prior_variance]])
+    discrimination_precision = np.array([[1.0 / config.discrimination_prior_variance]])
+    floor = config.discrimination_floor
+    alpha = np.full(n_items, max(config.discrimination_prior_mean, floor))
     beta = np.full(n_items, config.difficulty_prior_mean)
     theta = (np.zeros(n_students) if initial_theta is None
              else np.asarray(initial_theta, dtype=float).copy())
     if theta.shape != (n_students,):
         raise DataError(f"initial_theta must have shape ({n_students},)")
 
-    def joint_objective(th, la, b) -> float:
-        alpha = np.exp(la)
-        z = alpha[q_idx] * (th[s_idx] - b[q_idx])
+    def joint_objective(th, a, b) -> float:
+        z = a[q_idx] * (th[s_idx] - b[q_idx])
         ll, _, _ = bernoulli_probit_terms(z, resp)
         value = float(ll.sum())
         value -= lam_student * float(((th - mu_student) ** 2).sum())
         value -= float(((b - config.difficulty_prior_mean) ** 2).sum()) / (
             2.0 * config.difficulty_prior_variance
         )
-        value -= float(((alpha - config.discrimination_prior_mean) ** 2).sum()) / (
+        value -= float(((a - config.discrimination_prior_mean) ** 2).sum()) / (
             2.0 * config.discrimination_prior_variance
         )
         return value
 
-    log_floor = np.log(config.discrimination_floor)
     rounds_run = 0
     final_delta: Optional[float] = None
-    objective = joint_objective(theta, log_alpha, beta)
+    objective = joint_objective(theta, alpha, beta)
     for _ in range(config.max_outer_rounds):
         rounds_run += 1
 
-        alpha = np.exp(log_alpha)
         a_eff = np.where(mask, alpha[ev_item], 0.0)
         b_pad = beta[ev_item]
         theta = batched_vector_map(
             theta[:, None], a_eff, b_pad, ev_resp, ev_concept, mask, student_precision,
             prior_mean=mu_student,
         )[0][:, 0]
-        after_students = joint_objective(theta, log_alpha, beta)
+        after_students = joint_objective(theta, alpha, beta)
         slack = 1e-9 * max(1.0, abs(objective))
         if after_students < objective - slack:
             raise CalibrationError(
@@ -243,24 +248,24 @@ def calibrate(
                 f"{objective} -> {after_students}"
             )
 
-        new_log_alpha = log_alpha.copy()
-        new_beta = beta.copy()
-        for j in range(n_items):
-            rows = q_idx == j
-            th_j, r_j = theta[s_idx[rows]], resp[rows]
-            x0 = np.array([log_alpha[j], beta[j]])
-            f0, _ = _item_negative_objective(x0, th_j, r_j, config)
-            result = minimize(
-                _item_negative_objective,
-                x0,
-                args=(th_j, r_j, config),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(log_floor, None), (None, None)],
-            )
-            if result.fun <= f0 and np.all(np.isfinite(result.x)):
-                new_log_alpha[j], new_beta[j] = result.x
-        after_items = joint_objective(theta, new_log_alpha, new_beta)
+        # with students fixed, z = (-alpha)(beta - theta) is a one-concept
+        # probit in beta and z = (theta - beta) alpha one in alpha; each block
+        # is strictly concave in one variable, so clipping alpha's maximizer
+        # at the floor gives the constrained maximizer
+        th_items = theta[item_student]
+        new_alpha, new_beta = alpha, beta
+        for _ in range(ITEM_SWEEPS):
+            new_beta = batched_vector_map(
+                new_beta[:, None], np.where(item_mask, -new_alpha[:, None], 0.0), th_items,
+                item_resp, item_concept, item_mask, difficulty_precision,
+                prior_mean=config.difficulty_prior_mean,
+            )[0][:, 0]
+            new_alpha = np.maximum(batched_vector_map(
+                new_alpha[:, None], np.where(item_mask, th_items - new_beta[:, None], 0.0),
+                np.zeros(item_mask.shape), item_resp, item_concept, item_mask,
+                discrimination_precision, prior_mean=config.discrimination_prior_mean,
+            )[0][:, 0], floor)
+        after_items = joint_objective(theta, new_alpha, new_beta)
         slack = 1e-9 * max(1.0, abs(after_students))
         if after_items < after_students - slack:
             raise CalibrationError(
@@ -269,21 +274,14 @@ def calibrate(
             )
 
         final_delta = float(
-            np.mean(
-                np.concatenate(
-                    [np.abs(np.exp(new_log_alpha) - np.exp(log_alpha)),
-                     np.abs(new_beta - beta)]
-                )
-            )
+            np.mean(np.concatenate([np.abs(new_alpha - alpha), np.abs(new_beta - beta)]))
         )
-        log_alpha, beta, objective = new_log_alpha, new_beta, after_items
+        alpha, beta, objective = new_alpha, new_beta, after_items
         if final_delta < config.convergence_delta:
             break
 
-    alpha = np.maximum(np.exp(log_alpha), config.discrimination_floor)
     floored = tuple(
-        item_ids[j] for j in range(n_items)
-        if alpha[j] <= config.discrimination_floor * (1.0 + 1e-9)
+        item_ids[j] for j in range(n_items) if alpha[j] <= floor * (1.0 + 1e-9)
     )
     concept_map = concept_map or {}
     items = {

@@ -132,6 +132,7 @@ class StructuredPrior:
         return value, grad
 
     def log_density(self, theta: np.ndarray) -> float:
+        """Unnormalized log-density -lam*sum(theta^2) - gamma*sum((theta_n-theta_m)^2)."""
         return self.value_and_grad(theta)[0]
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
@@ -182,11 +183,6 @@ def build_prior(graph: ConceptGraph, lam: float, gamma: float) -> StructuredPrio
     except np.linalg.LinAlgError as exc:  # unreachable for lam > 0, kept as a guard
         raise GraphError("precision matrix is not positive definite") from exc
     return StructuredPrior(graph, float(lam), float(gamma), precision, tail, head)
-
-
-def log_prior_density(prior: StructuredPrior, theta_vec: np.ndarray) -> float:
-    """Unnormalized log-density -lam*sum(theta^2) - gamma*sum((theta_n-theta_m)^2)."""
-    return prior.log_density(theta_vec)
 
 
 # -- graph file format --------------------------------------------------------

@@ -88,13 +88,17 @@ def random_stacked_instance(rng, max_events=40, max_concepts=6):
 
     Half the draws are one-concept (the scalar models and calibration), half
     coupled chains; rows are ragged with padded cells masked out and carrying
-    a_eff == 0, and the prior mean is nonzero.
+    a_eff == 0, and the prior mean is nonzero.  a_eff is signed, with some
+    valid cells exactly 0, as in calibration's item blocks: -alpha for
+    difficulty and theta - beta for discrimination.
     """
     c = 1 if rng.random() < 0.5 else int(rng.integers(2, max_concepts + 1))
     prior = build_prior(chain_graph(c), float(rng.uniform(0.2, 2.0)), float(rng.uniform(0, 2.0)))
     s, t = int(rng.integers(1, 8)), int(rng.integers(1, max_events + 1))
     mask = np.arange(t)[None, :] < rng.integers(0, t + 1, size=s)[:, None]
-    a_eff = np.where(mask, rng.uniform(0.05, 2.5, size=(s, t)), 0.0)
+    a_eff = rng.uniform(-2.5, 2.5, size=(s, t))
+    a_eff[rng.random((s, t)) < 0.1] = 0.0
+    a_eff = np.where(mask, a_eff, 0.0)
     beta = rng.uniform(-2, 2, size=(s, t))
     correct = rng.integers(0, 2, size=(s, t)).astype(float)
     cidx = np.where(mask, rng.integers(0, c, size=(s, t)), 0)

@@ -7,11 +7,13 @@ a monotonicity check.
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.special import log_ndtr
 
 from ogive.calibration import (
+    ITEM_SWEEPS,
     CalibrationConfig,
     ItemBank,
-    _item_negative_objective,
     calibrate,
     recovery_correlations,
 )
@@ -82,22 +84,6 @@ def test_config_validation():
         CalibrationConfig(max_outer_rounds=-1)
 
 
-def test_item_objective_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    cfg = CalibrationConfig()
-    theta = rng.normal(size=60)
-    correct = (rng.random(60) < 0.6).astype(float)
-    x = np.array([0.3, -0.4])
-    _, grad = _item_negative_objective(x, theta, correct, cfg)
-    h = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        fp, _ = _item_negative_objective(x + e, theta, correct, cfg)
-        fm, _ = _item_negative_objective(x - e, theta, correct, cfg)
-        assert grad[k] == pytest.approx((fp - fm) / (2 * h), rel=1e-5, abs=1e-7)
-
-
 def synthetic_training(seed, n_students, n_items, responses_each, bank=None):
     rng = np.random.default_rng(seed)
     if bank is None:
@@ -116,6 +102,104 @@ def synthetic_training(seed, n_students, n_items, responses_each, bank=None):
                 InteractionRecord(f"s{s:04d}", item.item_id, int(rng.random() < p), t)
             )
     return Dataset.from_records(records), bank
+
+
+def test_one_round_matches_scalar_coordinate_ascent():
+    """One round equals maximizing the joint objective one scalar at a time.
+
+    The reference is independent of the batched solver: every student's
+    theta, then ITEM_SWEEPS sweeps of every difficulty and then every
+    discrimination (bounded below by the floor), each by a scalar search.
+    """
+    training, _ = synthetic_training(4, 25, 5, 12)
+    cfg = CalibrationConfig(max_outer_rounds=1)
+    fitted = calibrate(training, cfg)
+
+    records = training.all_records()
+    students = list(training.students)
+    items = list(dict.fromkeys(r.item_id for r in records))
+    s_idx = np.array([students.index(r.student_id) for r in records])
+    q_idx = np.array([items.index(r.item_id) for r in records])
+    sign = np.array([2.0 * r.correct - 1.0 for r in records])
+    theta = np.zeros(len(students))
+    alpha = np.full(len(items), cfg.discrimination_prior_mean)
+    beta = np.full(len(items), cfg.difficulty_prior_mean)
+
+    def joint():
+        z = alpha[q_idx] * (theta[s_idx] - beta[q_idx])
+        value = log_ndtr(sign * z).sum()
+        for x, mean, var in ((theta, cfg.student_prior_mean, cfg.student_prior_variance),
+                             (beta, cfg.difficulty_prior_mean, cfg.difficulty_prior_variance),
+                             (alpha, cfg.discrimination_prior_mean,
+                              cfg.discrimination_prior_variance)):
+            value -= ((x - mean) ** 2).sum() / (2 * var)
+        return value
+
+    def ascend(params, k, bounds=None):
+        def negated(x):
+            params[k] = x
+            return -joint()
+
+        if bounds is None:
+            res = minimize_scalar(negated, bracket=(params[k] - 0.5, params[k] + 0.5),
+                                  tol=1e-12)
+        else:
+            res = minimize_scalar(negated, bounds=bounds, method="bounded",
+                                  options={"xatol": 1e-12})
+        params[k] = res.x
+
+    for k in range(len(students)):
+        ascend(theta, k)
+    for _ in range(ITEM_SWEEPS):
+        for k in range(len(items)):
+            ascend(beta, k)
+        for k in range(len(items)):
+            ascend(alpha, k, bounds=(cfg.discrimination_floor, 10.0))
+
+    for j, item_id in enumerate(items):
+        assert fitted[item_id].difficulty == pytest.approx(beta[j], abs=1e-6)
+        assert fitted[item_id].discrimination == pytest.approx(alpha[j], abs=1e-6)
+    assert fitted.meta.objective == pytest.approx(joint(), abs=1e-6)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"discrimination_prior_mean": 0.0},
+    {"discrimination_prior_mean": -1.0},
+    {"discrimination_floor": 2.0},
+])
+def test_calibrate_discrimination_prior_at_or_below_floor(overrides):
+    # the blocks start at max(prior mean, floor), which is always feasible
+    training, _ = synthetic_training(6, 40, 5, 15)
+    cfg = CalibrationConfig(max_outer_rounds=5, **overrides)
+    fitted = calibrate(training, cfg)
+    _, alphas, betas, _ = fitted.arrays()
+    assert np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))
+    assert np.all(alphas >= cfg.discrimination_floor)
+    assert np.isfinite(fitted.meta.objective)
+
+
+def test_calibrate_student_without_records():
+    training, _ = synthetic_training(7, 20, 4, 10)
+    students = dict(training.students)
+    students["silent"] = []
+    fitted = calibrate(Dataset(students), CalibrationConfig(max_outer_rounds=3))
+    assert np.isfinite(fitted.meta.objective)
+    assert sum(fitted.meta.response_counts.values()) == training.n_responses
+
+
+def test_calibrate_anti_discriminating_item_sits_on_the_floor():
+    rng = np.random.default_rng(10)
+    bank = make_bank([ItemParams(f"q{j}", 1.2, b) for j, b in enumerate((-1.0, -0.3, 0.3, 1.0))])
+    records = []
+    for s, theta in enumerate(rng.normal(scale=np.sqrt(0.5), size=150)):
+        for t, item in enumerate(bank.items.values()):
+            p = probit(item.discrimination * (theta - item.difficulty))
+            records.append(InteractionRecord(f"s{s}", item.item_id, int(rng.random() < p), t))
+        records.append(InteractionRecord(f"s{s}", "anti", int(theta < 0.0), 4))
+    cfg = CalibrationConfig(max_outer_rounds=10)
+    fitted = calibrate(Dataset.from_records(records), cfg)
+    assert fitted.meta.floored_items == ("anti",)
+    assert fitted["anti"].discrimination == cfg.discrimination_floor
 
 
 def test_calibrate_small_run_metadata_and_recovery():

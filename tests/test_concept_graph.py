@@ -16,7 +16,6 @@ from ogive.concept_graph import (
     build_prior,
     chain_graph,
     load_graph,
-    log_prior_density,
     parse_graph,
     save_graph,
 )
@@ -139,12 +138,6 @@ def test_value_matches_quadratic_form():
         value, grad = prior.value_and_grad(theta)
         assert value == pytest.approx(-0.5 * theta @ PREC_3CHAIN @ theta, abs=1e-12)
         np.testing.assert_allclose(grad, -PREC_3CHAIN @ theta, atol=1e-12)
-
-
-def test_log_density_wrappers_agree():
-    prior = build_prior(chain_graph(3), lam=0.4, gamma=1.3)
-    theta = np.array([0.3, -1.2, 0.8])
-    assert prior.log_density(theta) == log_prior_density(prior, theta)
 
 
 def test_two_concept_hand_value():
