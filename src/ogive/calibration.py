@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dataio import DataError, Dataset
-from .inference import batched_vector_map
+from .inference import batched_vector_map, padded_rows
 from .irt_core import ItemParams, bernoulli_probit_terms
 
 
@@ -148,25 +148,6 @@ class ItemBank:
 ITEM_SWEEPS = 3
 
 
-def _padded(group: np.ndarray, n_groups: int, *columns: np.ndarray):
-    """Rows of `columns` grouped by `group` in record order: (mask, *padded columns).
-
-    Every group gets a row, all masked when it holds no records.
-    """
-    lengths = np.bincount(group, minlength=n_groups)
-    order = np.argsort(group, kind="stable")
-    rows = group[order]
-    cols = np.arange(len(group)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    mask = np.zeros((n_groups, int(lengths.max())), dtype=bool)
-    mask[rows, cols] = True
-    padded = []
-    for column in columns:
-        out = np.zeros(mask.shape, dtype=column.dtype)
-        out[rows, cols] = column[order]
-        padded.append(out)
-    return (mask, *padded)
-
-
 def calibrate(
     training: Dataset,
     config: CalibrationConfig = CalibrationConfig(),
@@ -196,8 +177,8 @@ def calibrate(
     counts = {item_ids[j]: int(c) for j, c in enumerate(np.bincount(q_idx, minlength=n_items))}
 
     # student-major rows for the student half-step, item-major for the item one
-    mask, ev_item, ev_resp = _padded(s_idx, n_students, q_idx, resp)
-    item_mask, item_student, item_resp = _padded(q_idx, n_items, s_idx, resp)
+    mask, ev_item, ev_resp = padded_rows(s_idx, n_students, q_idx, resp)
+    item_mask, item_student, item_resp = padded_rows(q_idx, n_items, s_idx, resp)
     # every problem is one-concept, so every event reads the only coordinate
     ev_concept = np.zeros(mask.shape, dtype=np.intp)
     item_concept = np.zeros(item_mask.shape, dtype=np.intp)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .calibration import ItemBank
 from .concept_graph import ConceptGraph, StructuredPrior, build_prior
 from .dataio import Dataset
-from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map
-from .irt_core import PROB_FLOOR, effective_discriminations, probit
+from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map, padded_rows
+from .irt_core import PROB_FLOOR, TemporalConfig, effective_discriminations, probit
 
 REPORT_FORMAT_VERSION = "1"
 
@@ -159,7 +158,10 @@ def _auc_from_arrays(scores: np.ndarray, outcomes: np.ndarray) -> Optional[float
     n_neg = len(outcomes) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)  # average rank on ties: counts ties as half
+    # average rank on ties, which counts a tie as half: a run of c equal
+    # scores ending at rank k shares rank k - (c - 1) / 2
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
     u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -279,10 +281,9 @@ def run_online_evaluation(
     recent history event; under the wall clock elapsed time comes from
     timestamps divided by seconds_per_unit.
     """
-    if clock not in ("step", "wall"):
-        raise ValueError(f"clock must be 'step' or 'wall', got {clock!r}")
-    item_index: dict[str, int] = {}
+    temporal = TemporalConfig(model.nu2, clock, seconds_per_unit)
     ids, alphas, betas, concepts = bank.arrays()
+    item_index: dict[str, int] = {}
     for j, item_id in enumerate(ids):
         item_index[item_id] = j
 
@@ -302,53 +303,38 @@ def run_online_evaluation(
                 )
         item_concept = np.array([concept_to_idx[cid] for cid in concepts], dtype=np.intp)
 
-    # per-student event arrays, bank-unknown events dropped from the stream
-    students: list[str] = []
-    seq_alpha, seq_beta, seq_correct, seq_cidx, seq_time = [], [], [], [], []
-    n_skipped = 0
-    for sid, recs in data.students.items():
-        last_ts = None
-        rows = []
-        for rec in recs:
-            if last_ts is not None and rec.timestamp < last_ts:
-                raise ValueError(f"student {sid!r}: events out of time order")
-            last_ts = rec.timestamp
-            j = item_index.get(rec.item_id)
-            if j is None:
-                n_skipped += 1
-                continue
-            rows.append((j, rec.correct, rec.timestamp))
-        if not rows:
-            continue
-        students.append(sid)
-        j_arr = np.array([r[0] for r in rows])
-        seq_alpha.append(alphas[j_arr])
-        seq_beta.append(betas[j_arr])
-        seq_correct.append(np.array([r[1] for r in rows], dtype=float))
-        seq_cidx.append(item_concept[j_arr])
-        if clock == "wall":
-            seq_time.append(np.array([r[2] for r in rows], dtype=float) / seconds_per_unit)
-        else:
-            seq_time.append(np.arange(1, len(rows) + 1, dtype=float))
+    # flat per-event columns, student insertion order then stream order
+    student_ids = list(data.students)
+    records = data.all_records()
+    group = np.repeat(np.arange(len(student_ids)),
+                      [len(recs) for recs in data.students.values()])
+    item = np.array([item_index.get(rec.item_id, -1) for rec in records], dtype=np.intp)
+    correct = np.array([rec.correct for rec in records], dtype=float)
+    stamp = np.array([rec.timestamp for rec in records], dtype=float)
+    backwards = (np.diff(stamp) < 0) & (group[1:] == group[:-1])
+    if backwards.any():
+        sid = student_ids[group[np.argmax(backwards) + 1]]
+        raise ValueError(f"student {sid!r}: events out of time order")
 
+    # bank-unknown events drop out of the stream, then students left without events
+    known = item >= 0
+    n_skipped = len(records) - int(known.sum())
+    kept, group = np.unique(group[known], return_inverse=True)
+    students = [student_ids[g] for g in kept]
     n_students = len(students)
     if n_students == 0:
         raise ValueError("no evaluable events: every event was skipped or the data is empty")
-    lengths = np.array([len(a) for a in seq_alpha])
-    width = int(lengths.max())
-
-    def pad(seqs, dtype=float, fill=0.0):
-        out = np.full((n_students, width), fill, dtype=dtype)
-        for i, s in enumerate(seqs):
-            out[i, : len(s)] = s
-        return out
-
-    alpha_pad = pad(seq_alpha)
-    beta_pad = pad(seq_beta)
-    correct_pad = pad(seq_correct)
-    time_pad = pad(seq_time)
-    mask = np.arange(width)[None, :] < lengths[:, None]
-    cidx_pad = pad(seq_cidx, dtype=np.intp, fill=0)
+    mask, item_pad, correct_pad, stamp_pad = padded_rows(
+        group, n_students, item[known], correct[known], stamp[known]
+    )
+    lengths = mask.sum(axis=1)
+    width = mask.shape[1]
+    alpha_pad = alphas[item_pad]
+    beta_pad = betas[item_pad]
+    cidx_pad = item_concept[item_pad]
+    # the step clock counts kept events, so column t - 1 sits at step t
+    time_pad = temporal.event_time(np.broadcast_to(np.arange(1.0, width + 1), mask.shape),
+                                   stamp_pad)
 
     probs = np.zeros((n_students, width))
     n_unconverged = 0
@@ -360,19 +346,14 @@ def run_online_evaluation(
         with np.errstate(invalid="ignore", divide="ignore"):
             probs = np.where(denom > 0, prior_correct / np.maximum(denom, 1.0), 0.5)
     else:
-        nu2 = model.nu2
         theta = np.zeros((n_students, len(precision)))
         for t in range(1, width + 1):
             idx = np.flatnonzero(lengths >= t)
             col = t - 1
             if t >= 2:
                 hist = slice(0, col)
-                a = alpha_pad[idx, hist]
-                if clock == "step":
-                    elapsed = float(t) - time_pad[idx, hist]
-                else:
-                    elapsed = time_pad[idx, col][:, None] - time_pad[idx, hist]
-                a_eff = effective_discriminations(a, elapsed, nu2)
+                elapsed = time_pad[idx, col][:, None] - time_pad[idx, hist]
+                a_eff = effective_discriminations(alpha_pad[idx, hist], elapsed, model.nu2)
                 b = beta_pad[idx, hist]
                 r = correct_pad[idx, hist]
                 full = np.ones_like(r, dtype=bool)

@@ -8,7 +8,9 @@ objective is strictly concave whenever P is positive definite, so each
 maximizer is unique.  Every array operation is elementwise per row, so each
 student's iterates are bit-identical no matter which other students share the
 batch.  The single-history API (`map_estimate_scalar`, `map_estimate_vector`)
-is the same solver at S = 1.
+is the same solver at S = 1 and returns exactly its row.  Every padded
+layout the solver reads, in the harness and in calibration, comes from
+`padded_rows`.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ class ProficiencyEstimate:
     theta: np.ndarray
     converged: bool
     iterations: int
-    final_gradient_norm: float
-    objective_value: float
     concept_ids: Optional[tuple[str, ...]] = None
 
     def coordinate(self, concept_id: str) -> float:
@@ -96,7 +96,7 @@ def _single_history_estimate(
     """One history solved as a batch of one; empty history returns the prior mean."""
     theta0 = np.full(len(precision), float(prior_mean))
     if len(history) == 0:
-        return ProficiencyEstimate(theta0, True, 0, 0.0, 0.0, concept_ids)
+        return ProficiencyEstimate(theta0, True, 0, concept_ids)
     if solver.initial_point is not None:
         theta0 = np.asarray(solver.initial_point, dtype=float).reshape(-1)
     if theta0.shape != (len(precision),):
@@ -105,21 +105,12 @@ def _single_history_estimate(
         raise ValueError("initial point is not finite")
     alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
     a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
-    events = (a_eff[None], betas[None], correct[None], concept_idx[None],
-              np.ones((1, len(history)), dtype=bool))
     theta, converged, iterations = batched_vector_map(
-        theta0[None], *events, precision,
+        theta0[None], a_eff[None], betas[None], correct[None], concept_idx[None],
+        np.ones((1, len(history)), dtype=bool), precision,
         solver.gradient_tolerance, solver.max_iterations, prior_mean,
     )
-    value, grad, _ = StackedLogPosterior(*events, precision, prior_mean)(theta)
-    return ProficiencyEstimate(
-        theta=theta[0],
-        converged=bool(converged[0]),
-        iterations=int(iterations[0]),
-        final_gradient_norm=float(np.max(np.abs(grad))),
-        objective_value=float(value[0]),
-        concept_ids=concept_ids,
-    )
+    return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
 
 
 def map_estimate_scalar(
@@ -168,6 +159,27 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
 # Array contract: event arrays have shape (S, T) with a boolean mask of valid
 # cells; padded cells must carry a_eff == 0 so padding contributes zero
 # gradient and curvature, and the mask zeroes padded log-likelihood terms.
+# `padded_rows` builds every such layout from flat per-event columns.
+
+
+def padded_rows(group: np.ndarray, n_groups: int, *columns: np.ndarray):
+    """Rows of `columns` grouped by `group` in record order: (mask, *padded columns).
+
+    Row g holds the records of group g left-aligned, padded cells are 0, and
+    every group gets a row, all masked when it holds no records.
+    """
+    lengths = np.bincount(group, minlength=n_groups)
+    order = np.argsort(group, kind="stable")
+    rows = group[order]
+    cols = np.arange(len(group)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    mask = np.zeros((n_groups, int(lengths.max())), dtype=bool)
+    mask[rows, cols] = True
+    padded = []
+    for column in columns:
+        out = np.zeros(mask.shape, dtype=column.dtype)
+        out[rows, cols] = column[order]
+        padded.append(out)
+    return (mask, *padded)
 
 
 class StackedLogPosterior:

@@ -102,22 +102,18 @@ class TemporalConfig:
             raise ValueError("drift_variance must be finite and >= 0")
         if self.clock not in ("step", "wall"):
             raise ValueError(f"clock must be 'step' or 'wall', got {self.clock!r}")
-        if self.seconds_per_unit <= 0.0:
-            raise ValueError("seconds_per_unit must be > 0")
+        if not (math.isfinite(self.seconds_per_unit) and self.seconds_per_unit > 0.0):
+            raise ValueError("seconds_per_unit must be finite and > 0")
 
-    def event_time(self, event: ResponseEvent) -> float:
-        """Clock time of one event, in clock units."""
-        if self.clock == "step":
-            return float(event.step_index)
-        return event.timestamp / self.seconds_per_unit
+    def event_time(self, step_index, timestamp):
+        """Clock time of events, in clock units; elementwise on arrays.
 
-    def elapsed(self, now: float, event: ResponseEvent) -> float:
-        """Elapsed clock units between an event and the evaluation time `now`.
-
-        `now` is expressed in clock units (a step index under the step clock,
-        seconds / seconds_per_unit under the wall clock).
+        The step index (1-based) under the step clock, timestamp /
+        seconds_per_unit under the wall clock.
         """
-        return now - self.event_time(event)
+        if self.clock == "step":
+            return step_index
+        return timestamp / self.seconds_per_unit
 
 
 STATIC = TemporalConfig(0.0)
@@ -176,8 +172,8 @@ def effective_discrimination(item: ItemParams, elapsed: float,
     """
     if elapsed < 0:
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    a = item.discrimination
-    return a / math.sqrt(1.0 + a * a * temporal.drift_variance * elapsed)
+    return float(effective_discriminations(item.discrimination, elapsed,
+                                           temporal.drift_variance))
 
 
 def effective_discriminations(alphas: np.ndarray, elapsed: np.ndarray,
@@ -270,10 +266,10 @@ def _history_arrays(history: Sequence[ResponseEvent], now: float,
     """Item parameters, responses and elapsed times of a history, as arrays."""
     if len(history) == 0:
         raise ValueError("history must contain at least one response")
-    alphas = np.array([ev.item.discrimination for ev in history])
-    betas = np.array([ev.item.difficulty for ev in history])
-    correct = np.array([ev.correct for ev in history])
-    elapsed = np.array([temporal.elapsed(now, ev) for ev in history])
+    rows = [(ev.item.discrimination, ev.item.difficulty, ev.correct, ev.step_index,
+             ev.timestamp) for ev in history]
+    alphas, betas, correct, steps, stamps = map(np.array, zip(*rows))
+    elapsed = now - temporal.event_time(steps, stamps)
     if np.any(elapsed < 0):
         bad = int(np.argmax(elapsed < 0))
         raise ValueError(

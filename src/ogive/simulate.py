@@ -166,10 +166,7 @@ def generate(scenario: SimulationScenario) -> SimulationResult:
         else:
             gaps = np.rint(rng.exponential(scenario.mean_inter_arrival_seconds, n_i))
             timestamps = np.cumsum(gaps.astype(np.int64))
-        if temporal.clock == "step":
-            units = np.arange(1, n_i + 1, dtype=float)
-        else:
-            units = timestamps / temporal.seconds_per_unit
+        units = temporal.event_time(np.arange(1, n_i + 1, dtype=float), timestamps)
 
         theta0 = prior.sample(rng, 1)[0]
         theta = np.empty((n_i, n_concepts))

@@ -109,6 +109,16 @@ def test_bad_clock_is_a_user_error(sim_dir, capsys):
     assert "--clock" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clock", ["wall:nan", "wall:inf"])
+def test_non_finite_clock_unit_is_a_user_error(sim_dir, clock, capsys):
+    assert run_cli(
+        "evaluate", "--data", str(sim_dir / "interactions.csv"),
+        "--bank", str(sim_dir / "true_bank.csv"), "--graph", str(sim_dir / "graph.txt"),
+        "--model", "tskirt", "--clock", clock,
+    ) == 2
+    assert "seconds_per_unit must be finite" in capsys.readouterr().err
+
+
 def test_cyclic_graph_file_is_a_user_error(sim_dir, tmp_path, capsys):
     bad = tmp_path / "cyclic.txt"
     bad.write_text("a\tb\nb\ta\n")

@@ -7,10 +7,14 @@ rows are independent).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ogive
 from ogive.calibration import ItemBank
 from ogive.concept_graph import ConceptGraph, build_prior, chain_graph
 from ogive.dataio import Dataset, InteractionRecord
@@ -364,11 +368,146 @@ def test_out_of_order_timestamps_rejected():
         run_online_evaluation(d, bank, ModelVariant("spc"))
 
 
+def test_out_of_order_timestamp_on_unknown_item_rejected():
+    # the order check runs before bank-unknown events drop out, and names the
+    # first offending student
+    bank = small_bank()
+    d = Dataset({
+        "ok": [InteractionRecord("ok", "q0", 1, 1), InteractionRecord("ok", "q1", 0, 2)],
+        "late": [
+            InteractionRecord("late", "q0", 1, 1),
+            InteractionRecord("late", "mystery", 0, 10),
+            InteractionRecord("late", "q1", 1, 5),
+        ],
+        "early": [
+            InteractionRecord("early", "q0", 1, 10),
+            InteractionRecord("early", "mystery", 0, 5),
+        ],
+    })
+    with pytest.raises(ValueError, match="student 'late': events out of time order"):
+        run_online_evaluation(d, bank, ModelVariant.from_name("static_2po"))
+    del d.students["late"]
+    with pytest.raises(ValueError, match="student 'early': events out of time order"):
+        run_online_evaluation(d, bank, ModelVariant.from_name("static_2po"))
+
+
 def test_bad_clock_rejected():
     bank = small_bank()
     data = streaming_data(bank, n_students=2, n_events=6)
     with pytest.raises(ValueError, match="clock"):
         run_online_evaluation(data, bank, ModelVariant("spc"), clock="lunar")
+
+
+@pytest.mark.parametrize("seconds_per_unit", [0.0, -60.0, float("nan")])
+def test_bad_seconds_per_unit_rejected(seconds_per_unit):
+    bank = small_bank()
+    data = streaming_data(bank, n_students=2, n_events=6)
+    with pytest.raises(ValueError, match="seconds_per_unit must be finite and > 0"):
+        run_online_evaluation(data, bank, ModelVariant.from_name("tskirt"),
+                              prior_graph=chain_graph(2), clock="wall",
+                              seconds_per_unit=seconds_per_unit)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(ogive.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ogive; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
+
+
+# -- metamorphic properties of the history layout -----------------------------
+#
+# Every per-student computation is elementwise per row, so a student's
+# predictions are bit-for-bit the same whatever else shares the batch.
+
+METAMORPHIC_KINDS = ("spc", "static_2po", "temporal_2po", "correlated_mvn", "tskirt")
+
+
+def wall_data(bank, n_students, n_events, seed, prefix="s", shift=0):
+    """Streams on irregular integer timestamps, ties included, offset by `shift`."""
+    rng = np.random.default_rng(seed)
+    ids = list(bank.items)
+    records = []
+    for s in range(n_students):
+        stamps = shift + np.cumsum(rng.integers(0, 5000, n_events))
+        for t in range(n_events):
+            records.append(InteractionRecord(
+                f"{prefix}{s}", ids[int(rng.integers(len(ids)))],
+                int(rng.random() < 0.55), int(stamps[t]),
+            ))
+    return Dataset.from_records(records)
+
+
+def per_student(data, bank, kind, **kwargs):
+    report = run_online_evaluation(data, bank, ModelVariant.from_name(kind),
+                                   prior_graph=chain_graph(2), n_buckets=1, **kwargs)
+    return {sid: report.probabilities[report.student_index == s]
+            for s, sid in enumerate(report.students)}
+
+
+def assert_same_predictions(got, want):
+    for sid, probs in want.items():
+        np.testing.assert_array_equal(got[sid], probs, err_msg=sid)
+
+
+@pytest.mark.parametrize("kind", METAMORPHIC_KINDS)
+@pytest.mark.parametrize("clock", ["step", "wall"])
+def test_student_order_does_not_change_predictions(kind, clock):
+    bank = small_bank()
+    data = wall_data(bank, n_students=6, n_events=9, seed=41)
+    # ragged streams, so a reordering also reorders the batch rows of each step
+    for k, sid in enumerate(data.students):
+        del data.students[sid][k + 3:]
+    reversed_data = Dataset(dict(reversed(list(data.students.items()))))
+    base = per_student(data, bank, kind, clock=clock, seconds_per_unit=3600.0)
+    got = per_student(reversed_data, bank, kind, clock=clock, seconds_per_unit=3600.0)
+    assert list(got) == list(reversed(list(base)))
+    assert_same_predictions(got, base)
+
+
+@pytest.mark.parametrize("kind", METAMORPHIC_KINDS)
+def test_duplicated_stream_gets_identical_predictions(kind):
+    bank = small_bank()
+    data = wall_data(bank, n_students=4, n_events=10, seed=43)
+    base = per_student(data, bank, kind, clock="wall", seconds_per_unit=3600.0)
+    twin = [InteractionRecord("twin", r.item_id, r.correct, r.timestamp)
+            for r in data.students["s1"]]
+    doubled = Dataset({**data.students, "twin": twin})
+    got = per_student(doubled, bank, kind, clock="wall", seconds_per_unit=3600.0)
+    assert_same_predictions(got, base)
+    np.testing.assert_array_equal(got["twin"], base["s1"])
+
+
+@pytest.mark.parametrize("kind", METAMORPHIC_KINDS)
+def test_unrelated_students_do_not_change_predictions(kind):
+    bank = small_bank()
+    data = wall_data(bank, n_students=4, n_events=8, seed=47)
+    base = per_student(data, bank, kind)
+    # longer streams widen the layout and join every step's batch
+    others = wall_data(bank, n_students=5, n_events=15, seed=53, prefix="x")
+    mixed = Dataset({"x0": others.students["x0"], **data.students,
+                     **{sid: recs for sid, recs in others.students.items() if sid != "x0"}})
+    assert_same_predictions(per_student(mixed, bank, kind), base)
+
+
+@pytest.mark.parametrize("kind", METAMORPHIC_KINDS)
+def test_wall_clock_shift_does_not_change_predictions(kind):
+    bank = small_bank()
+    data = wall_data(bank, n_students=4, n_events=10, seed=59)
+    shifted = wall_data(bank, n_students=4, n_events=10, seed=59, shift=10**7)
+    # integer timestamps: every difference is exact at one second per unit
+    assert_same_predictions(per_student(shifted, bank, kind, clock="wall"),
+                            per_student(data, bank, kind, clock="wall"))
+    # dividing by 3600 rounds each timestamp, so shifted differences move in
+    # the last bits
+    base = per_student(data, bank, kind, clock="wall", seconds_per_unit=3600.0)
+    got = per_student(shifted, bank, kind, clock="wall", seconds_per_unit=3600.0)
+    for sid, probs in base.items():
+        np.testing.assert_allclose(got[sid], probs, rtol=0.0, atol=1e-12)
 
 
 def test_vector_model_requires_known_concepts():

@@ -130,12 +130,12 @@ def test_converged_implies_gradient_below_tolerance():
         (rng.uniform(0.5, 2.0), rng.uniform(-2, 2), int(rng.random() < 0.6))
         for _ in range(40)
     ]
-    est = map_estimate_scalar(
-        scalar_events(pairs), now=41.0, temporal=TemporalConfig(0.05),
-        prior=ScalarPriorConfig(),
-    )
+    history = scalar_events(pairs)
+    temporal, prior = TemporalConfig(0.05), ScalarPriorConfig()
+    est = map_estimate_scalar(history, now=41.0, temporal=temporal, prior=prior)
     assert est.converged
-    assert est.final_gradient_norm <= DEFAULT_SOLVER.gradient_tolerance
+    reference = approx_log_posterior_scalar(est.theta[0], history, 41.0, temporal, prior)
+    assert abs(reference.gradient) <= DEFAULT_SOLVER.gradient_tolerance
 
 
 def test_max_iterations_zero_returns_initial_point():
@@ -237,14 +237,13 @@ def test_prior_coupling_pulls_unobserved_neighbors():
 def test_coordinate_lookup_errors():
     est = ProficiencyEstimate(
         theta=np.array([1.0, -1.0]), converged=True, iterations=0,
-        final_gradient_norm=0.0, objective_value=0.0, concept_ids=("A", "B"),
+        concept_ids=("A", "B"),
     )
     assert est.coordinate("B") == -1.0
     with pytest.raises(KeyError):
         est.coordinate("C")
     scalar = ProficiencyEstimate(
         theta=np.array([0.7]), converged=True, iterations=0,
-        final_gradient_norm=0.0, objective_value=0.0,
     )
     assert scalar.coordinate("anything") == 0.7
 
@@ -252,7 +251,6 @@ def test_coordinate_lookup_errors():
 def test_predict_next_examples():
     scalar = ProficiencyEstimate(
         theta=np.array([1.3]), converged=True, iterations=0,
-        final_gradient_norm=0.0, objective_value=0.0,
     )
     assert predict_next(scalar, ItemParams("q", 2.0, 1.3)) == pytest.approx(0.5)
 
@@ -261,7 +259,7 @@ def test_predict_next_examples():
 
     vector = ProficiencyEstimate(
         theta=np.array([1.0, -1.0]), converged=True, iterations=0,
-        final_gradient_norm=0.0, objective_value=0.0, concept_ids=("A", "B"),
+        concept_ids=("A", "B"),
     )
     item_b = ItemParams("q", 2.0, 0.0, concept_id="B")
     assert predict_next(vector, item_b) == pytest.approx(PHI_M2, abs=1e-12)

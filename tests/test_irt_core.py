@@ -1,5 +1,6 @@
 """Unit tests for the probit response kernel and log-posterior objectives."""
 
+import math
 import warnings
 
 import mpmath as mp
@@ -107,18 +108,18 @@ def test_response_probability_examples():
 def test_temporal_config_clocks():
     step = TemporalConfig(0.5, "step", 1.0)
     wall = TemporalConfig(0.5, "wall", 60.0)
-    item = ItemParams("q", 1.0, 0.0)
-    ev = ResponseEvent(item, 1, step_index=3, timestamp=120.0)
-    assert step.event_time(ev) == 3.0
-    assert wall.event_time(ev) == 2.0
-    assert step.elapsed(10.0, ev) == 7.0
-    assert wall.elapsed(5.0, ev) == 3.0
+    assert step.event_time(3.0, 120.0) == 3.0
+    assert wall.event_time(3.0, 120.0) == 2.0
+    np.testing.assert_array_equal(
+        wall.event_time(np.array([1.0, 2.0]), np.array([60.0, 150.0])), [1.0, 2.5]
+    )
     with pytest.raises(ValueError):
         TemporalConfig(-0.1)
     with pytest.raises(ValueError):
         TemporalConfig(0.1, "lunar")
-    with pytest.raises(ValueError):
-        TemporalConfig(0.1, "wall", 0.0)
+    for seconds_per_unit in (0.0, -60.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="seconds_per_unit"):
+            TemporalConfig(0.1, "wall", seconds_per_unit)
 
 
 def test_scalar_prior_parameterization():
