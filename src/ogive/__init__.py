@@ -32,7 +32,6 @@ from .evaluation import (
     EvaluationReport,
     ModelVariant,
     bucket_by_student_percent_correct,
-    compute_auc,
     run_online_evaluation,
     summary_table,
     write_bucket_tsv,

@@ -19,7 +19,8 @@ rescaling.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,27 +34,30 @@ class CalibrationError(RuntimeError):
     """Internal invariant violated during fitting (not a user-input problem)."""
 
 
+# (mean, variance) of the fixed normal priors in the joint objective
+STUDENT_PRIOR_MEAN, STUDENT_PRIOR_VARIANCE = 0.0, 0.5
+DIFFICULTY_PRIOR_MEAN, DIFFICULTY_PRIOR_VARIANCE = 0.0, 1.0
+DISCRIMINATION_PRIOR_MEAN, DISCRIMINATION_PRIOR_VARIANCE = 1.0, 0.5
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
-    difficulty_prior_mean: float = 0.0
-    difficulty_prior_variance: float = 1.0
-    discrimination_prior_mean: float = 1.0
-    discrimination_prior_variance: float = 0.5
-    student_prior_mean: float = 0.0
-    student_prior_variance: float = 0.5
+    """Stopping rule and discrimination floor of `calibrate`.
+
+    Runs at most max_outer_rounds rounds and stops after the first whose
+    mean absolute item-parameter change is below convergence_delta; no
+    discrimination goes below discrimination_floor.
+    """
+
     max_outer_rounds: int = 50
     convergence_delta: float = 1e-5
     discrimination_floor: float = 0.01
 
     def __post_init__(self):
-        for name in ("difficulty_prior_variance", "discrimination_prior_variance",
-                     "student_prior_variance"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.convergence_delta <= 0.0:
-            raise ValueError("convergence_delta must be > 0")
-        if self.discrimination_floor <= 0.0:
-            raise ValueError("discrimination_floor must be > 0")
+        for name in ("convergence_delta", "discrimination_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.max_outer_rounds < 0:
             raise ValueError("max_outer_rounds must be >= 0")
 
@@ -152,7 +156,6 @@ def calibrate(
     training: Dataset,
     config: CalibrationConfig = CalibrationConfig(),
     concept_map: Optional[dict[str, str]] = None,
-    initial_theta: Optional[np.ndarray] = None,
 ) -> ItemBank:
     """Fit an ItemBank from a training Dataset.
 
@@ -183,29 +186,25 @@ def calibrate(
     ev_concept = np.zeros(mask.shape, dtype=np.intp)
     item_concept = np.zeros(item_mask.shape, dtype=np.intp)
 
-    lam_student = 1.0 / (2.0 * config.student_prior_variance)
-    mu_student = config.student_prior_mean
+    lam_student = 1.0 / (2.0 * STUDENT_PRIOR_VARIANCE)
     student_precision = np.array([[2.0 * lam_student]])
-    difficulty_precision = np.array([[1.0 / config.difficulty_prior_variance]])
-    discrimination_precision = np.array([[1.0 / config.discrimination_prior_variance]])
+    difficulty_precision = np.array([[1.0 / DIFFICULTY_PRIOR_VARIANCE]])
+    discrimination_precision = np.array([[1.0 / DISCRIMINATION_PRIOR_VARIANCE]])
     floor = config.discrimination_floor
-    alpha = np.full(n_items, max(config.discrimination_prior_mean, floor))
-    beta = np.full(n_items, config.difficulty_prior_mean)
-    theta = (np.zeros(n_students) if initial_theta is None
-             else np.asarray(initial_theta, dtype=float).copy())
-    if theta.shape != (n_students,):
-        raise DataError(f"initial_theta must have shape ({n_students},)")
+    alpha = np.full(n_items, max(DISCRIMINATION_PRIOR_MEAN, floor))
+    beta = np.full(n_items, DIFFICULTY_PRIOR_MEAN)
+    theta = np.zeros(n_students)
 
     def joint_objective(th, a, b) -> float:
         z = a[q_idx] * (th[s_idx] - b[q_idx])
         ll, _, _ = bernoulli_probit_terms(z, resp)
         value = float(ll.sum())
-        value -= lam_student * float(((th - mu_student) ** 2).sum())
-        value -= float(((b - config.difficulty_prior_mean) ** 2).sum()) / (
-            2.0 * config.difficulty_prior_variance
+        value -= lam_student * float(((th - STUDENT_PRIOR_MEAN) ** 2).sum())
+        value -= float(((b - DIFFICULTY_PRIOR_MEAN) ** 2).sum()) / (
+            2.0 * DIFFICULTY_PRIOR_VARIANCE
         )
-        value -= float(((a - config.discrimination_prior_mean) ** 2).sum()) / (
-            2.0 * config.discrimination_prior_variance
+        value -= float(((a - DISCRIMINATION_PRIOR_MEAN) ** 2).sum()) / (
+            2.0 * DISCRIMINATION_PRIOR_VARIANCE
         )
         return value
 
@@ -219,7 +218,7 @@ def calibrate(
         b_pad = beta[ev_item]
         theta = batched_vector_map(
             theta[:, None], a_eff, b_pad, ev_resp, ev_concept, mask, student_precision,
-            prior_mean=mu_student,
+            prior_mean=STUDENT_PRIOR_MEAN,
         )[0][:, 0]
         after_students = joint_objective(theta, alpha, beta)
         slack = 1e-9 * max(1.0, abs(objective))
@@ -239,12 +238,12 @@ def calibrate(
             new_beta = batched_vector_map(
                 new_beta[:, None], np.where(item_mask, -new_alpha[:, None], 0.0), th_items,
                 item_resp, item_concept, item_mask, difficulty_precision,
-                prior_mean=config.difficulty_prior_mean,
+                prior_mean=DIFFICULTY_PRIOR_MEAN,
             )[0][:, 0]
             new_alpha = np.maximum(batched_vector_map(
                 new_alpha[:, None], np.where(item_mask, th_items - new_beta[:, None], 0.0),
                 np.zeros(item_mask.shape), item_resp, item_concept, item_mask,
-                discrimination_precision, prior_mean=config.discrimination_prior_mean,
+                discrimination_precision, prior_mean=DISCRIMINATION_PRIOR_MEAN,
             )[0][:, 0], floor)
         after_items = joint_objective(theta, new_alpha, new_beta)
         slack = 1e-9 * max(1.0, abs(after_students))

@@ -10,6 +10,7 @@ are almost always data errors.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,44 +56,23 @@ class ConceptGraph:
 
 
 def _find_cycle(concepts, edges):
-    """Return one directed cycle as a node list, or None if the graph is a DAG."""
-    succ = {c: [] for c in concepts}
+    """One directed cycle as a node list, first node repeated last, or None for a DAG."""
+    prerequisites = {c: [] for c in concepts}
     for n, m in edges:
-        succ[n].append(m)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in concepts}
-    for root in concepts:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GREY
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == GREY:
-                    i = path.index(child)
-                    return path[i:] + [child]
-                if color[child] == WHITE:
-                    color[child] = GREY
-                    path.append(child)
-                    stack.append((child, iter(succ[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+        prerequisites[m].append(n)
+    try:
+        graphlib.TopologicalSorter(prerequisites).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
     return None
 
 
-def chain_graph(n: int, prefix: str = "c") -> ConceptGraph:
-    """Chain of n concepts with edges c1 -> c2 -> ... -> cn."""
+def chain_graph(n: int) -> ConceptGraph:
+    """Chain of n concepts c01 -> c02 -> ... -> cn, ids zero-padded to at least two digits."""
     if n < 1:
         raise GraphError("chain needs at least one concept")
     width = max(2, len(str(n)))
-    names = tuple(f"{prefix}{i + 1:0{width}d}" for i in range(n))
+    names = tuple(f"c{i + 1:0{width}d}" for i in range(n))
     return ConceptGraph(names, tuple(zip(names[:-1], names[1:])))
 
 

@@ -11,8 +11,9 @@ predictions for one student never depend on which other students are present.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -51,12 +52,12 @@ class ModelVariant:
             raise ValueError(
                 f"unknown model kind {self.kind!r}; choose from {', '.join(MODEL_KINDS)}"
             )
-        if self.nu2 < 0.0:
-            raise ValueError("nu2 must be >= 0")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.nu2) and self.nu2 >= 0.0):
+            raise ValueError(f"nu2 must be finite and >= 0, got {self.nu2}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
     @classmethod
     def from_name(cls, kind: str,
@@ -153,6 +154,10 @@ class EvaluationReport:
 
 
 def _auc_from_arrays(scores: np.ndarray, outcomes: np.ndarray) -> Optional[float]:
+    """Probability a correct response outscores an incorrect one, ties half.
+
+    Returns None when the outcomes are single-class (flagged by the caller).
+    """
     pos = outcomes == 1
     n_pos = int(pos.sum())
     n_neg = len(outcomes) - n_pos
@@ -164,19 +169,6 @@ def _auc_from_arrays(scores: np.ndarray, outcomes: np.ndarray) -> Optional[float
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
     u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-def compute_auc(scored: Iterable[tuple[float, int]]) -> Optional[float]:
-    """Probability a correct response outscores an incorrect one, ties half.
-
-    Returns None when the outcomes are single-class (flagged by the caller).
-    """
-    pairs = list(scored)
-    if not pairs:
-        return None
-    scores = np.array([s for s, _ in pairs], dtype=float)
-    outcomes = np.array([o for _, o in pairs])
-    return _auc_from_arrays(scores, outcomes)
 
 
 def _clamped_log_likelihood(p: np.ndarray, outcomes: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ layout the solver reads, in the harness and in calibration, comes from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,15 +44,20 @@ MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton solver settings; defaults validated by the initialization-independence property."""
+    """Newton solver settings; defaults validated by the initialization-independence property.
+
+    The single-history API starts every solve at the prior mean; the harness
+    warm-starts through `batched_vector_map`'s theta0.
+    """
 
     gradient_tolerance: float = 1e-8
     max_iterations: int = 100
-    initial_point: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.gradient_tolerance > 0.0:
-            raise ValueError("gradient_tolerance must be > 0")
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0.0):
+            raise ValueError(
+                f"gradient_tolerance must be finite and > 0, got {self.gradient_tolerance}"
+            )
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 
@@ -93,16 +99,12 @@ def _single_history_estimate(
     solver: SolverConfig,
     concept_ids: Optional[tuple[str, ...]],
 ) -> ProficiencyEstimate:
-    """One history solved as a batch of one; empty history returns the prior mean."""
+    """One history solved as a batch of one from the prior mean; empty history returns it."""
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
     theta0 = np.full(len(precision), float(prior_mean))
     if len(history) == 0:
         return ProficiencyEstimate(theta0, True, 0, concept_ids)
-    if solver.initial_point is not None:
-        theta0 = np.asarray(solver.initial_point, dtype=float).reshape(-1)
-    if theta0.shape != (len(precision),):
-        raise ValueError(f"initial point has shape {theta0.shape}, expected ({len(precision)},)")
-    if not np.all(np.isfinite(theta0)):
-        raise ValueError("initial point is not finite")
     alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
     a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
     theta, converged, iterations = batched_vector_map(
@@ -123,7 +125,7 @@ def map_estimate_scalar(
     """MAP estimate of a single proficiency; empty history returns the prior mean.
 
     Solved as the one-concept vector problem with precision [[2*lam]],
-    started at the prior mean unless the solver gives an initial point.
+    started at the prior mean.
     """
     return _single_history_estimate(
         history, now, temporal, np.array([[2.0 * prior.precision_weight]]), prior.mean,

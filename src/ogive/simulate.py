@@ -12,6 +12,7 @@ bit-reproducible and independent of generation order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -37,11 +38,11 @@ class ItemBankSpec:
         if self.items_per_concept < 1:
             raise ValueError("items_per_concept must be >= 1")
         a_lo, a_hi = self.discrimination_range
-        if not 0.0 < a_lo <= a_hi:
-            raise ValueError("discrimination_range must satisfy 0 < lo <= hi")
+        if not (0.0 < a_lo <= a_hi and math.isfinite(a_hi)):
+            raise ValueError("discrimination_range must be finite and satisfy 0 < lo <= hi")
         b_lo, b_hi = self.difficulty_range
-        if not b_lo <= b_hi:
-            raise ValueError("difficulty_range must satisfy lo <= hi")
+        if not (math.isfinite(b_lo) and b_lo <= b_hi and math.isfinite(b_hi)):
+            raise ValueError("difficulty_range must be finite and satisfy lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,9 @@ class SimulationScenario:
             raise ValueError(f"unknown drift coupling {self.drift_coupling!r}")
         if self.inter_arrival not in ("unit", "exponential"):
             raise ValueError(f"unknown inter-arrival mode {self.inter_arrival!r}")
-        if self.mean_inter_arrival_seconds <= 0.0:
-            raise ValueError("mean_inter_arrival_seconds must be > 0")
+        gap = self.mean_inter_arrival_seconds
+        if not (math.isfinite(gap) and gap > 0.0):
+            raise ValueError(f"mean_inter_arrival_seconds must be finite and > 0, got {gap}")
 
     @property
     def true_prior(self) -> StructuredPrior:

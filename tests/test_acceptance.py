@@ -19,7 +19,7 @@ from ogive import cli
 from ogive.calibration import CalibrationConfig, ItemBank, calibrate, recovery_correlations
 from ogive.concept_graph import build_prior, chain_graph, save_graph
 from ogive.dataio import Dataset, InteractionRecord, preprocess, write_interactions
-from ogive.evaluation import ModelVariant, compute_auc, run_online_evaluation
+from ogive.evaluation import ModelVariant, _auc_from_arrays, run_online_evaluation
 from ogive.inference import StackedLogPosterior, map_estimate_scalar, map_estimate_vector
 from ogive.irt_core import (
     STATIC,
@@ -295,7 +295,7 @@ def test_c05_oracle_equivalence():
     rng = np.random.default_rng(55)
     scores = np.round(rng.random(200), 2)  # rounding forces many ties
     outcomes = (rng.random(200) < 0.5).astype(int)
-    fast = compute_auc(list(zip(scores, outcomes)))
+    fast = _auc_from_arrays(scores, outcomes)
     wins, pairs = 0.0, 0
     for i in range(200):
         for j in range(200):

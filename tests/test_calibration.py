@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
+from ogive import calibration
 from ogive.calibration import (
     ITEM_SWEEPS,
     CalibrationConfig,
@@ -74,14 +75,12 @@ def test_bank_container_protocol():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CalibrationConfig(student_prior_variance=0.0)
-    with pytest.raises(ValueError):
-        CalibrationConfig(convergence_delta=0.0)
-    with pytest.raises(ValueError):
-        CalibrationConfig(discrimination_floor=-1.0)
-    with pytest.raises(ValueError):
-        CalibrationConfig(max_outer_rounds=-1)
+    for name, value in (("convergence_delta", 0.0), ("convergence_delta", float("nan")),
+                        ("convergence_delta", float("inf")), ("discrimination_floor", -1.0),
+                        ("discrimination_floor", float("nan")),
+                        ("discrimination_floor", float("inf")), ("max_outer_rounds", -1)):
+        with pytest.raises(ValueError, match=name):
+            CalibrationConfig(**{name: value})
 
 
 def synthetic_training(seed, n_students, n_items, responses_each, bank=None):
@@ -122,16 +121,18 @@ def test_one_round_matches_scalar_coordinate_ascent():
     q_idx = np.array([items.index(r.item_id) for r in records])
     sign = np.array([2.0 * r.correct - 1.0 for r in records])
     theta = np.zeros(len(students))
-    alpha = np.full(len(items), cfg.discrimination_prior_mean)
-    beta = np.full(len(items), cfg.difficulty_prior_mean)
+    alpha = np.full(len(items), calibration.DISCRIMINATION_PRIOR_MEAN)
+    beta = np.full(len(items), calibration.DIFFICULTY_PRIOR_MEAN)
 
     def joint():
         z = alpha[q_idx] * (theta[s_idx] - beta[q_idx])
         value = log_ndtr(sign * z).sum()
-        for x, mean, var in ((theta, cfg.student_prior_mean, cfg.student_prior_variance),
-                             (beta, cfg.difficulty_prior_mean, cfg.difficulty_prior_variance),
-                             (alpha, cfg.discrimination_prior_mean,
-                              cfg.discrimination_prior_variance)):
+        for x, mean, var in (
+            (theta, calibration.STUDENT_PRIOR_MEAN, calibration.STUDENT_PRIOR_VARIANCE),
+            (beta, calibration.DIFFICULTY_PRIOR_MEAN, calibration.DIFFICULTY_PRIOR_VARIANCE),
+            (alpha, calibration.DISCRIMINATION_PRIOR_MEAN,
+             calibration.DISCRIMINATION_PRIOR_VARIANCE),
+        ):
             value -= ((x - mean) ** 2).sum() / (2 * var)
         return value
 
@@ -163,8 +164,8 @@ def test_one_round_matches_scalar_coordinate_ascent():
 
 
 @pytest.mark.parametrize("overrides", [
-    {"discrimination_prior_mean": 0.0},
-    {"discrimination_prior_mean": -1.0},
+    {"discrimination_floor": calibration.DISCRIMINATION_PRIOR_MEAN},
+    {"discrimination_floor": calibration.DISCRIMINATION_PRIOR_MEAN + 0.25},
     {"discrimination_floor": 2.0},
 ])
 def test_calibrate_discrimination_prior_at_or_below_floor(overrides):
@@ -234,8 +235,8 @@ def test_calibrate_zero_rounds_returns_prior_means():
     cfg = CalibrationConfig(max_outer_rounds=0)
     fitted = calibrate(training, cfg)
     for p in fitted.items.values():
-        assert p.discrimination == pytest.approx(cfg.discrimination_prior_mean)
-        assert p.difficulty == pytest.approx(cfg.difficulty_prior_mean)
+        assert p.discrimination == pytest.approx(calibration.DISCRIMINATION_PRIOR_MEAN)
+        assert p.difficulty == pytest.approx(calibration.DIFFICULTY_PRIOR_MEAN)
     assert fitted.meta.rounds == 0
     assert fitted.meta.objective is None
 
@@ -243,12 +244,6 @@ def test_calibrate_zero_rounds_returns_prior_means():
 def test_calibrate_empty_training_rejected():
     with pytest.raises(DataError, match="empty"):
         calibrate(Dataset.from_records([]))
-
-
-def test_calibrate_initial_theta_shape_checked():
-    training, _ = synthetic_training(9, 10, 3, 8)
-    with pytest.raises(DataError, match="shape"):
-        calibrate(training, initial_theta=np.zeros(3))
 
 
 def test_calibrate_deterministic():

@@ -119,6 +119,45 @@ def test_non_finite_clock_unit_is_a_user_error(sim_dir, clock, capsys):
     assert "seconds_per_unit must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("evaluate", ["--model", "static_2po", "--lambda", "nan"], "lam must be finite"),
+    ("evaluate", ["--model", "tskirt", "--nu2", "inf"], "nu2 must be finite"),
+    ("evaluate", ["--model", "static_2po", "--solver-tolerance", "inf"],
+     "gradient_tolerance must be finite"),
+    ("calibrate", ["--delta", "nan"], "convergence_delta must be finite"),
+    ("calibrate", ["--floor", "nan"], "discrimination_floor must be finite"),
+    ("calibrate", ["--floor", "inf"], "discrimination_floor must be finite"),
+    ("simulate", ["--arrival", "exp:nan"], "mean_inter_arrival_seconds must be finite"),
+    ("simulate", ["--beta-range=-inf:0"], "difficulty_range must be finite"),
+    ("predict", ["--model", "tskirt", "--now", "nan"], "now must be finite"),
+])
+def test_non_finite_setting_is_a_user_error(sim_dir, tmp_path, capsys, command, flags,
+                                            message):
+    data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
+    graph = str(sim_dir / "graph.txt")
+    inputs = {
+        "evaluate": ["--data", data, "--bank", bank, "--graph", graph],
+        "calibrate": ["--data", data, "--out", str(tmp_path / "bank.csv")],
+        "simulate": ["--students", "2", "--out", str(tmp_path / "sim")],
+        "predict": ["--history", data, "--student", "s0001", "--bank", bank,
+                    "--graph", graph, "--items", "q0001"],
+    }[command]
+    assert run_cli(command, *inputs, *flags) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--nu2", "--lambda", "--gamma"])
+def test_sweep_takes_no_fixed_hyperparameter(sim_dir, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--data", str(sim_dir / "interactions.csv"),
+                "--bank", str(sim_dir / "true_bank.csv"), "--model", "static_2po",
+                flag, "0.5")
+    assert exc.value.code == 2
+
+
 def test_cyclic_graph_file_is_a_user_error(sim_dir, tmp_path, capsys):
     bad = tmp_path / "cyclic.txt"
     bad.write_text("a\tb\nb\ta\n")

@@ -22,8 +22,8 @@ from ogive.evaluation import (
     MODEL_KINDS,
     REPORT_FORMAT_VERSION,
     ModelVariant,
+    _auc_from_arrays,
     bucket_by_student_percent_correct,
-    compute_auc,
     resolve_prior,
     run_online_evaluation,
     summary_table,
@@ -95,12 +95,12 @@ def test_model_validation():
         ModelVariant.from_name("irt3pl")
     with pytest.raises(ValueError, match="unknown model kind"):
         ModelVariant("irt3pl")
-    with pytest.raises(ValueError):
-        ModelVariant("tskirt", nu2=-0.1)
-    with pytest.raises(ValueError):
-        ModelVariant("tskirt", lam=0.0)
-    with pytest.raises(ValueError):
-        ModelVariant("tskirt", gamma=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for name, value in (("nu2", -0.1), ("nu2", nan), ("nu2", inf), ("lam", 0.0),
+                        ("lam", nan), ("lam", inf), ("gamma", -1.0), ("gamma", nan),
+                        ("gamma", inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelVariant("tskirt", **{name: value})
 
 
 def test_model_kind_partition():
@@ -138,20 +138,23 @@ def test_resolve_prior_branches():
 # -- ranking metric -----------------------------------------------------------
 
 
+def auc(scores, outcomes):
+    return _auc_from_arrays(np.array(scores, dtype=float), np.array(outcomes))
+
+
 def test_auc_hand_case():
-    scored = [(0.9, 1), (0.8, 0), (0.7, 1), (0.3, 0)]
-    assert compute_auc(scored) == pytest.approx(0.75)
+    assert auc([0.9, 0.8, 0.7, 0.3], [1, 0, 1, 0]) == pytest.approx(0.75)
 
 
 def test_auc_ties_count_half():
-    assert compute_auc([(0.5, 1), (0.5, 0)]) == pytest.approx(0.5)
-    assert compute_auc([(0.4, 1), (0.4, 0), (0.4, 1), (0.2, 0)]) == pytest.approx(0.75)
+    assert auc([0.5, 0.5], [1, 0]) == pytest.approx(0.5)
+    assert auc([0.4, 0.4, 0.4, 0.2], [1, 0, 1, 0]) == pytest.approx(0.75)
 
 
 def test_auc_degenerate():
-    assert compute_auc([]) is None
-    assert compute_auc([(0.9, 1), (0.8, 1)]) is None
-    assert compute_auc([(0.9, 0)]) is None
+    assert auc([], []) is None
+    assert auc([0.9, 0.8], [1, 1]) is None
+    assert auc([0.9], [0]) is None
 
 
 def test_auc_matches_brute_force_pair_count():
@@ -159,7 +162,7 @@ def test_auc_matches_brute_force_pair_count():
     scores = rng.random(60)
     scores[rng.integers(0, 60, size=10)] = 0.5  # force some ties
     outcomes = (rng.random(60) < 0.5).astype(int)
-    fast = compute_auc(list(zip(scores, outcomes)))
+    fast = _auc_from_arrays(scores, outcomes)
     wins = 0.0
     pairs = 0
     for i in range(60):
@@ -508,6 +511,27 @@ def test_wall_clock_shift_does_not_change_predictions(kind):
     got = per_student(shifted, bank, kind, clock="wall", seconds_per_unit=3600.0)
     for sid, probs in base.items():
         np.testing.assert_allclose(got[sid], probs, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["temporal_2po", "tskirt"])
+def test_clock_unit_and_drift_scale_together(kind):
+    """Scaling seconds_per_unit and nu2 by one k keeps nu2 * elapsed and every prediction."""
+    bank = small_bank()
+    data = wall_data(bank, n_students=4, n_events=10, seed=61)
+    nu2 = ModelVariant.from_name(kind).nu2
+
+    def predictions(k):
+        model = ModelVariant.from_name(kind, nu2=nu2 * k)
+        return run_online_evaluation(data, bank, model, prior_graph=chain_graph(2),
+                                     n_buckets=1, clock="wall",
+                                     seconds_per_unit=3600.0 * k).probabilities
+
+    base = predictions(1.0)
+    # a power of two scales every product and quotient exactly
+    for k in (2.0, 0.25):
+        np.testing.assert_array_equal(predictions(k), base)
+    for k in (3.0, 1.0 / 3600.0):
+        np.testing.assert_allclose(predictions(k), base, rtol=0.0, atol=1e-12)
 
 
 def test_vector_model_requires_known_concepts():

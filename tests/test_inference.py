@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from ogive.concept_graph import build_prior, chain_graph
+from ogive.concept_graph import ConceptGraph, build_prior, chain_graph
 from ogive.inference import (
     DEFAULT_SOLVER,
     ProficiencyEstimate,
@@ -70,8 +70,9 @@ def scalar_events(pairs, start_step=1):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(gradient_tolerance=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gradient_tolerance must be finite"):
+            SolverConfig(gradient_tolerance=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
 
@@ -153,28 +154,32 @@ def test_max_iterations_zero_returns_initial_point():
     assert est.converged  # the unrestricted solver does finish
 
 
-def test_non_finite_initial_point_rejected():
-    history = scalar_events([(1.0, 0.0, 1)])
-    with pytest.raises(ValueError):
-        map_estimate_scalar(history, 2.0, STATIC, ScalarPriorConfig(),
-                            solver=SolverConfig(initial_point=np.array([np.nan])))
+@pytest.mark.parametrize("history", [[], scalar_events([(1.0, 0.0, 1)])])
+def test_non_finite_now_rejected(history):
+    vprior = build_prior(ConceptGraph(("all",)), lam=1.0, gamma=0.0)
+    with pytest.raises(ValueError, match="now must be finite"):
+        map_estimate_scalar(history, float("nan"), STATIC, ScalarPriorConfig())
+    with pytest.raises(ValueError, match="now must be finite"):
+        map_estimate_vector(history, float("nan"), STATIC, vprior)
 
 
 def test_initialization_independence():
     rng = np.random.default_rng(11)
-    pairs = [
+    pairs = np.array([
         (rng.uniform(0.5, 2.0), rng.uniform(-2, 2), int(rng.random() < 0.5))
         for _ in range(30)
-    ]
-    history = scalar_events(pairs)
-    prior = ScalarPriorConfig()
-    thetas = []
-    for x0 in (-3.0, 0.0, 3.0):
-        solver = SolverConfig(initial_point=np.array([x0]))
-        est = map_estimate_scalar(history, 31.0, STATIC, prior, solver=solver)
-        assert est.converged
-        thetas.append(est.theta[0])
-    spread = max(thetas) - min(thetas)
+    ])
+    alphas, betas, correct = pairs.T
+    # the default scalar prior, lam = 1, as a one-concept problem started from each x0
+    starts = np.array([[-3.0], [0.0], [3.0]])
+    rows = np.ones((len(starts), 1))
+    theta, converged, _ = batched_vector_map(
+        starts, rows * alphas, rows * betas, rows * correct,
+        np.zeros((len(starts), len(pairs)), dtype=np.intp),
+        np.ones((len(starts), len(pairs)), dtype=bool), np.array([[2.0]]),
+    )
+    assert converged.all()
+    spread = theta.max() - theta.min()
     assert spread <= 10 * DEFAULT_SOLVER.gradient_tolerance
 
 

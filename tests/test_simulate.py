@@ -40,6 +40,13 @@ def test_bank_spec_validation():
         ItemBankSpec(discrimination_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         ItemBankSpec(difficulty_range=(1.0, -1.0))
+    inf = float("inf")
+    for bad in ((0.5, inf), (float("nan"), 1.0), (0.5, float("nan"))):
+        with pytest.raises(ValueError, match="discrimination_range must be finite"):
+            ItemBankSpec(discrimination_range=bad)
+    for bad in ((-inf, 0.0), (0.0, inf), (float("nan"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="difficulty_range must be finite"):
+            ItemBankSpec(difficulty_range=bad)
 
 
 def test_scenario_validation():
@@ -57,8 +64,9 @@ def test_scenario_validation():
         scenario(drift_coupling="mystery")
     with pytest.raises(ValueError):
         scenario(inter_arrival="poisson")
-    with pytest.raises(ValueError):
-        scenario(inter_arrival="exponential", mean_inter_arrival_seconds=0.0)
+    for gap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mean_inter_arrival_seconds must be finite"):
+            scenario(inter_arrival="exponential", mean_inter_arrival_seconds=gap)
 
 
 def test_same_seed_reproduces_everything():
