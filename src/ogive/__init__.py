@@ -40,21 +40,16 @@ from .evaluation import (
 from .inference import (
     ProficiencyEstimate,
     SolverConfig,
-    map_estimate_scalar,
+    estimate_history,
     map_estimate_vector,
     predict_next,
 )
 from .irt_core import (
     ItemParams,
     ResponseEvent,
-    ScalarPriorConfig,
     TemporalConfig,
-    approx_log_posterior_scalar,
-    approx_log_posterior_vector,
-    effective_discrimination,
     gaussian_probit_integral,
     probit,
-    response_probability,
 )
 from .simulate import (
     ItemBankSpec,

@@ -23,6 +23,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -32,14 +33,15 @@ from .dataio import DataError, Dataset, load_interactions, preprocess, write_int
 from .evaluation import (
     MODEL_KINDS,
     ModelVariant,
-    resolve_prior,
+    model_prior,
+    record_columns,
     run_online_evaluation,
     summary_table,
     write_bucket_tsv,
     write_report_json,
 )
-from .inference import SolverConfig, map_estimate_scalar, map_estimate_vector, predict_next
-from .irt_core import ResponseEvent, ScalarPriorConfig, TemporalConfig
+from .inference import SolverConfig, estimate_history
+from .irt_core import TemporalConfig, probit
 from .simulate import ItemBankSpec, SimulationScenario, generate, write_truth
 
 CLI_FORMAT_VERSION = "1"
@@ -110,6 +112,21 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+def _int_setting(resolved: dict, key: str) -> int:
+    """An integer setting; refuses what else a config file can hold, such as 2.7, .inf or true."""
+    value = resolved[key]
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise DataError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _require(resolved: dict, *keys: str) -> None:
     for key in keys:
         if resolved[key] is None:
@@ -141,8 +158,8 @@ def _load_dataset(resolved: dict) -> Dataset:
     if not resolved["no_preprocess"]:
         data = preprocess(
             data,
-            min_responses=int(resolved["min_responses"]),
-            max_attempts_per_item=int(resolved["max_attempts"]),
+            min_responses=_int_setting(resolved, "min_responses"),
+            max_attempts_per_item=_int_setting(resolved, "max_attempts"),
         )
     return data
 
@@ -196,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if resolved["graph"] is not None:
         graph = load_graph(resolved["graph"])
     else:
-        graph = chain_graph(int(resolved["concepts"]))
+        graph = chain_graph(_int_setting(resolved, "concepts"))
     clock, spu = _parse_clock(resolved["clock"])
 
     assignment, block_length = str(resolved["assignment"]), 10
@@ -209,11 +226,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         arrival = "exponential"
 
     scenario = SimulationScenario(
-        seed=int(resolved["seed"]),
-        n_students=int(resolved["students"]),
+        seed=_int_setting(resolved, "seed"),
+        n_students=_int_setting(resolved, "students"),
         graph=graph,
         bank_spec=ItemBankSpec(
-            items_per_concept=int(resolved["items_per_concept"]),
+            items_per_concept=_int_setting(resolved, "items_per_concept"),
             discrimination_range=_parse_pair(resolved["alpha_range"], "--alpha-range"),
             difficulty_range=_parse_pair(resolved["beta_range"], "--beta-range"),
         ),
@@ -261,7 +278,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     _require(resolved, "data", "out")
     data = _load_dataset(resolved)
     config = CalibrationConfig(
-        max_outer_rounds=int(resolved["max_rounds"]),
+        max_outer_rounds=_int_setting(resolved, "max_rounds"),
         convergence_delta=float(resolved["delta"]),
         discrimination_floor=float(resolved["floor"]),
     )
@@ -317,13 +334,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     clock, spu = _parse_clock(resolved["clock"])
     solver = SolverConfig(
         gradient_tolerance=float(resolved["solver_tolerance"]),
-        max_iterations=int(resolved["solver_max_iterations"]),
+        max_iterations=_int_setting(resolved, "solver_max_iterations"),
     )
     variants = _build_variants(resolved)
     reports = [
         run_online_evaluation(
             data, bank, variant, prior_graph=graph, solver=solver,
-            n_buckets=int(resolved["buckets"]), clock=clock, seconds_per_unit=spu,
+            n_buckets=_int_setting(resolved, "buckets"), clock=clock, seconds_per_unit=spu,
         )
         for variant in variants
     ]
@@ -366,7 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     clock, spu = _parse_clock(resolved["clock"])
     solver = SolverConfig(
         gradient_tolerance=float(resolved["solver_tolerance"]),
-        max_iterations=int(resolved["solver_max_iterations"]),
+        max_iterations=_int_setting(resolved, "solver_max_iterations"),
     )
 
     rows = []
@@ -447,51 +464,49 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if name not in bank:
             raise DataError(f"item {name!r} is not in the bank")
 
-    # history events; bank-unknown items drop out of the stream as in evaluation
-    events = []
-    n_skipped = 0
-    for rec in records:
-        if rec.item_id not in bank:
-            n_skipped += 1
-            continue
-        events.append(ResponseEvent(bank[rec.item_id], rec.correct,
-                                    step_index=len(events) + 1,
-                                    timestamp=float(rec.timestamp)))
+    # history columns; bank-unknown items drop out of the stream as in evaluation
+    ids, alphas, betas, _ = bank.arrays()
+    item, correct, stamp = record_columns(records, bank)
+    known = item >= 0
+    n_skipped = len(item) - int(known.sum())
+    item, correct, stamp = item[known], correct[known], stamp[known]
     if n_skipped:
         print(f"warning: {n_skipped} history events on unknown items ignored",
               file=sys.stderr)
 
+    # the step clock counts kept events, as in evaluation
     temporal = TemporalConfig(variant.nu2, clock, spu)
+    times = temporal.event_time(np.arange(1.0, len(item) + 1), stamp)
     if resolved["now"] is not None:
         now = float(resolved["now"])
     elif clock == "step":
-        now = float(len(events) + 1)
+        now = float(len(item) + 1)
     else:
-        now = (events[-1].timestamp / spu) if events else 0.0
+        now = float(times[-1]) if len(item) else 0.0
+    if not np.isfinite(now):
+        raise DataError(f"now must be finite, got {now}")
 
-    predictions = []
     if variant.is_spc:
-        k = sum(ev.correct for ev in events)
-        p = 0.5 if not events else k / len(events)
-        for name in item_names:
-            predictions.append((name, float(p)))
+        p = float(correct.sum()) / len(correct) if len(correct) else 0.5
+        probabilities = [p] * len(item_names)
         estimate_info = {"history_fraction_correct": p}
     else:
-        if variant.is_scalar:
-            prior = ScalarPriorConfig.from_precision_weight(variant.lam)
-            estimate = map_estimate_scalar(events, now, temporal, prior)
-        else:
-            prior = resolve_prior(variant, graph, bank)
-            estimate = map_estimate_vector(events, now, temporal, prior)
-        for name in item_names:
-            predictions.append((name, predict_next(estimate, bank[name])))
+        precision, item_concept, concept_ids = model_prior(variant, graph, bank)
+        estimate = estimate_history(
+            alphas[item], betas[item], correct, times, now, variant.nu2, precision,
+            item_concept[item], concept_ids=concept_ids,
+        )
+        cand = np.array([ids.index(name) for name in item_names])
+        probabilities = probit(
+            alphas[cand] * (estimate.theta[item_concept[cand]] - betas[cand])
+        ).tolist()
         estimate_info = {
-            "theta": [float(x) for x in estimate.theta],
-            "concept_ids": (list(estimate.concept_ids)
-                            if estimate.concept_ids is not None else None),
-            "converged": bool(estimate.converged),
-            "iterations": int(estimate.iterations),
+            "theta": estimate.theta.tolist(),
+            "concept_ids": list(concept_ids) if concept_ids is not None else None,
+            "converged": estimate.converged,
+            "iterations": estimate.iterations,
         }
+    predictions = list(zip(item_names, probabilities))
 
     for name, p in predictions:
         print(f"{name}\t{format(p, '.17g')}")
@@ -502,7 +517,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "model": variant.kind,
             "hyperparameters": variant.hyperparameters(),
             "now": now,
-            "n_history_events": len(events),
+            "n_history_events": len(item),
             "n_skipped_history_events": n_skipped,
             "estimate": estimate_info,
             "predictions": [{"item_id": n, "probability": p} for n, p in predictions],

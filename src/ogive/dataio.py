@@ -103,11 +103,10 @@ _FIELDS = ("student_id", "item_id", "correct", "timestamp")
 
 def _coerce_row(student_id, item_id, correct, timestamp) -> InteractionRecord:
     c = int(str(correct).strip())
-    ts_raw = float(str(timestamp).strip())
-    ts = int(ts_raw)
-    if ts != ts_raw:
+    ts = float(str(timestamp).strip())
+    if not ts.is_integer():  # false for inf and nan as well
         raise DataError(f"timestamp {timestamp!r} is not an integer number of seconds")
-    return InteractionRecord(str(student_id), str(item_id), c, ts)
+    return InteractionRecord(str(student_id), str(item_id), c, int(ts))
 
 
 def load_interactions(path, format: str = "csv", strict: bool = False) -> Dataset:

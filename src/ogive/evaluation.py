@@ -3,9 +3,11 @@
 For every response in a student's stream the engine produces a probability
 from strictly prior history of that student, then scores it.  Latent-trait
 variants re-solve the MAP proficiency at each step (warm-started, solved in
-lockstep across students); the SPC baseline predicts the student's majority
-outcome so far.  All per-student computations are elementwise per row, so
-predictions for one student never depend on which other students are present.
+lockstep across students); the SPC baseline predicts the student's running
+fraction correct so far, 0.5 before the first response.  All per-student
+computations are elementwise per row, so predictions for one student never
+depend on which other students are present.  `model_prior` and
+`record_columns` are the harness's setup, shared with `ogive predict`.
 """
 
 from __future__ import annotations
@@ -255,6 +257,41 @@ def resolve_prior(model: ModelVariant, prior_graph, bank: ItemBank) -> Structure
                     f"got {type(prior_graph).__name__}")
 
 
+def model_prior(model: ModelVariant, prior_graph, bank: ItemBank):
+    """(precision, coordinate of each bank item, concept ids) a model runs with.
+
+    Items are in `bank.arrays()` order.  Scalar models are the one-concept
+    case: precision [[2*lam]], every item on coordinate 0 and no concept ids.
+    Vector models take their prior from `resolve_prior`, and every bank item's
+    concept must be a node of its graph.
+    """
+    ids, _, _, concepts = bank.arrays()
+    if not model.is_vector:
+        return np.array([[2.0 * model.lam]]), np.zeros(len(ids), dtype=np.intp), None
+    prior = resolve_prior(model, prior_graph, bank)
+    concept_to_idx = prior.graph.index
+    for item_id, cid in zip(ids, concepts):
+        if cid not in concept_to_idx:
+            raise ValueError(
+                f"item {item_id!r} is on concept {cid!r}, "
+                "which is not a node of the concept graph"
+            )
+    item_concept = np.array([concept_to_idx[cid] for cid in concepts], dtype=np.intp)
+    return prior.precision, item_concept, prior.graph.concepts
+
+
+def record_columns(records, bank: ItemBank):
+    """(item position, correct, timestamp) columns of records, in record order.
+
+    Positions are in `bank.arrays()` order; items missing from the bank get -1.
+    """
+    item_index = {item_id: j for j, item_id in enumerate(bank.items)}
+    item = np.array([item_index.get(rec.item_id, -1) for rec in records], dtype=np.intp)
+    correct = np.array([rec.correct for rec in records], dtype=float)
+    stamp = np.array([rec.timestamp for rec in records], dtype=float)
+    return item, correct, stamp
+
+
 def run_online_evaluation(
     data: Dataset,
     bank: ItemBank,
@@ -274,35 +311,15 @@ def run_online_evaluation(
     timestamps divided by seconds_per_unit.
     """
     temporal = TemporalConfig(model.nu2, clock, seconds_per_unit)
-    ids, alphas, betas, concepts = bank.arrays()
-    item_index: dict[str, int] = {}
-    for j, item_id in enumerate(ids):
-        item_index[item_id] = j
-
-    # scalar models are the one-concept case: every item reads the only coordinate
-    item_concept = np.zeros(len(ids), dtype=np.intp)
-    if model.is_scalar:
-        precision = np.array([[2.0 * model.lam]])
-    elif model.is_vector:
-        prior = resolve_prior(model, prior_graph, bank)
-        precision = prior.precision
-        concept_to_idx = prior.graph.index
-        for item_id, cid in zip(ids, concepts):
-            if cid not in concept_to_idx:
-                raise ValueError(
-                    f"item {item_id!r} is on concept {cid!r}, "
-                    "which is not a node of the concept graph"
-                )
-        item_concept = np.array([concept_to_idx[cid] for cid in concepts], dtype=np.intp)
+    _, alphas, betas, _ = bank.arrays()
+    precision, item_concept, _ = model_prior(model, prior_graph, bank)
 
     # flat per-event columns, student insertion order then stream order
     student_ids = list(data.students)
     records = data.all_records()
     group = np.repeat(np.arange(len(student_ids)),
                       [len(recs) for recs in data.students.values()])
-    item = np.array([item_index.get(rec.item_id, -1) for rec in records], dtype=np.intp)
-    correct = np.array([rec.correct for rec in records], dtype=float)
-    stamp = np.array([rec.timestamp for rec in records], dtype=float)
+    item, correct, stamp = record_columns(records, bank)
     backwards = (np.diff(stamp) < 0) & (group[1:] == group[:-1])
     if backwards.any():
         sid = student_ids[group[np.argmax(backwards) + 1]]

@@ -7,10 +7,12 @@ backtracking line search, run in lockstep over S independent problems.  The
 objective is strictly concave whenever P is positive definite, so each
 maximizer is unique.  Every array operation is elementwise per row, so each
 student's iterates are bit-identical no matter which other students share the
-batch.  The single-history API (`map_estimate_scalar`, `map_estimate_vector`)
-is the same solver at S = 1 and returns exactly its row.  Every padded
-layout the solver reads, in the harness and in calibration, comes from
-`padded_rows`.
+batch.  `estimate_history` is the one single-history core: it takes one
+history as the event columns the harness builds (discrimination,
+difficulty, outcome, clock time, coordinate) and is the same solver at
+S = 1, returning exactly its row.  `map_estimate_vector` only turns a list
+of `ResponseEvent`s into those columns.  Every padded layout the solver
+reads, in the harness and in calibration, comes from `padded_rows`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ from .concept_graph import StructuredPrior
 from .irt_core import (
     ItemParams,
     ResponseEvent,
-    ScalarPriorConfig,
     TemporalConfig,
-    _concept_indices,
-    _history_arrays,
     bernoulli_probit_terms,
     effective_discriminations,
-    response_probability,
+    probit,
 )
 
 ARMIJO_C1 = 1e-4
@@ -46,7 +45,7 @@ MAX_BACKTRACKS = 60
 class SolverConfig:
     """Newton solver settings; defaults validated by the initialization-independence property.
 
-    The single-history API starts every solve at the prior mean; the harness
+    `estimate_history` starts every solve at the prior mean; the harness
     warm-starts through `batched_vector_map`'s theta0.
     """
 
@@ -89,48 +88,40 @@ class ProficiencyEstimate:
             ) from None
 
 
-def _single_history_estimate(
-    history: Sequence[ResponseEvent],
+def estimate_history(
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    correct: np.ndarray,
+    times: np.ndarray,
     now: float,
-    temporal: TemporalConfig,
+    nu2: float,
     precision: np.ndarray,
-    prior_mean: float,
     concept_idx: np.ndarray,
-    solver: SolverConfig,
-    concept_ids: Optional[tuple[str, ...]],
+    solver: SolverConfig = DEFAULT_SOLVER,
+    concept_ids: Optional[tuple[str, ...]] = None,
 ) -> ProficiencyEstimate:
-    """One history solved as a batch of one from the prior mean; empty history returns it."""
+    """MAP estimate at clock time `now` from one history held as event columns.
+
+    Event j answered an item of discrimination alphas[j] and difficulty
+    betas[j] at clock time times[j], reading coordinate concept_idx[j] of a
+    proficiency with prior precision `precision` and mean zero.  Solved as a
+    batch of one from the prior mean; an empty history returns it.
+    """
     if not math.isfinite(now):
         raise ValueError(f"now must be finite, got {now}")
-    theta0 = np.full(len(precision), float(prior_mean))
-    if len(history) == 0:
-        return ProficiencyEstimate(theta0, True, 0, concept_ids)
-    alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
-    a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
+    theta0 = np.zeros((1, len(precision)))
+    if len(alphas) == 0:
+        return ProficiencyEstimate(theta0[0], True, 0, concept_ids)
+    elapsed = now - times
+    if np.any(elapsed < 0):
+        raise ValueError(f"event {int(np.argmax(elapsed < 0))} is after now={now}")
+    a_eff = effective_discriminations(alphas, elapsed, nu2)
     theta, converged, iterations = batched_vector_map(
-        theta0[None], a_eff[None], betas[None], correct[None], concept_idx[None],
-        np.ones((1, len(history)), dtype=bool), precision,
-        solver.gradient_tolerance, solver.max_iterations, prior_mean,
+        theta0, a_eff[None], betas[None], correct[None], concept_idx[None],
+        np.ones((1, len(alphas)), dtype=bool), precision,
+        solver.gradient_tolerance, solver.max_iterations,
     )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
-
-
-def map_estimate_scalar(
-    history: Sequence[ResponseEvent],
-    now: float,
-    temporal: TemporalConfig,
-    prior: ScalarPriorConfig,
-    solver: SolverConfig = DEFAULT_SOLVER,
-) -> ProficiencyEstimate:
-    """MAP estimate of a single proficiency; empty history returns the prior mean.
-
-    Solved as the one-concept vector problem with precision [[2*lam]],
-    started at the prior mean.
-    """
-    return _single_history_estimate(
-        history, now, temporal, np.array([[2.0 * prior.precision_weight]]), prior.mean,
-        np.zeros(len(history), dtype=np.intp), solver, None,
-    )
 
 
 def map_estimate_vector(
@@ -140,20 +131,31 @@ def map_estimate_vector(
     prior: StructuredPrior,
     solver: SolverConfig = DEFAULT_SOLVER,
 ) -> ProficiencyEstimate:
-    """MAP estimate of the concept-proficiency vector; empty history returns zero."""
-    return _single_history_estimate(
-        history, now, temporal, prior.precision, 0.0,
-        _concept_indices(history, prior.graph.index), solver, prior.graph.concepts,
+    """`estimate_history` on a history of events; empty history returns zero.
+
+    Raises KeyError if an event's concept is not a node of the prior's graph.
+    """
+    index = prior.graph.index
+    try:
+        concept_idx = np.array([index[ev.item.concept_id] for ev in history], dtype=np.intp)
+    except KeyError as exc:
+        raise KeyError(
+            f"concept {exc.args[0]!r} of a history item is not a node of the prior's graph"
+        ) from None
+    alphas, betas, correct, steps, stamps = np.array(
+        [(ev.item.discrimination, ev.item.difficulty, ev.correct, ev.step_index, ev.timestamp)
+         for ev in history], dtype=float,
+    ).reshape(-1, 5).T.copy()
+    return estimate_history(
+        alphas, betas, correct, temporal.event_time(steps, stamps), now,
+        temporal.drift_variance, prior.precision, concept_idx, solver, prior.graph.concepts,
     )
 
 
 def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
     """Probability the student answers `item` correctly right now."""
-    if estimate.concept_ids is None:
-        theta = float(estimate.theta[0])
-    else:
-        theta = estimate.coordinate(item.concept_id)
-    return response_probability(theta, item)
+    theta = estimate.coordinate(item.concept_id)
+    return float(probit(item.discrimination * (theta - item.difficulty)))
 
 
 # -- the batched lockstep solver ----------------------------------------------

@@ -1,42 +1,22 @@
-"""Probit response model and approximate log-posterior objectives.
+"""Probit response model: items, events, the clock and the likelihood kernel.
 
 The correctness probability for a student at proficiency theta answering an
 item with discrimination alpha and difficulty beta is Phi(alpha*(theta-beta)),
 with Phi the standard normal CDF.  Older responses enter the posterior over
 the current proficiency through an attenuated "effective discrimination"
 alpha / sqrt(1 + alpha^2 * nu2 * elapsed), where nu2 is the per-unit drift
-variance of the proficiency random walk.  Both the scalar objective and the
-per-concept vector objective are concave and return value, gradient and
-curvature; they are the single-history reference for the batched objective
-that the solver in `inference` runs.
+variance of the proficiency random walk.  `bernoulli_probit_terms` is the one
+likelihood kernel; the log-posterior built on it, and its solver, live in
+`inference`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
-
-if TYPE_CHECKING:
-    from .concept_graph import StructuredPrior
-
-__all__ = [
-    "ItemParams",
-    "ResponseEvent",
-    "TemporalConfig",
-    "ScalarPriorConfig",
-    "probit",
-    "response_probability",
-    "effective_discrimination",
-    "gaussian_probit_integral",
-    "approx_log_posterior_scalar",
-    "approx_log_posterior_vector",
-    "ScalarObjectiveValue",
-    "VectorObjectiveValue",
-]
 
 # Predicted probabilities are clamped to this band before scoring log loss;
 # the objective kernel itself never clamps, log_ndtr is finite everywhere.
@@ -119,34 +99,6 @@ class TemporalConfig:
 STATIC = TemporalConfig(0.0)
 
 
-@dataclass(frozen=True)
-class ScalarPriorConfig:
-    """Gaussian prior over a scalar proficiency, stored as (mean, variance).
-
-    The quadratic-penalty weight lambda = 1 / (2 * variance) is derived, never
-    stored, so the two parameterizations cannot drift apart.
-    """
-
-    mean: float = 0.0
-    variance: float = 0.5
-
-    def __post_init__(self):
-        if not math.isfinite(self.variance) or self.variance <= 0.0:
-            raise ValueError("prior variance must be finite and > 0")
-        if not math.isfinite(self.mean):
-            raise ValueError("prior mean must be finite")
-
-    @property
-    def precision_weight(self) -> float:
-        return 1.0 / (2.0 * self.variance)
-
-    @classmethod
-    def from_precision_weight(cls, lam: float, mean: float = 0.0) -> "ScalarPriorConfig":
-        if lam <= 0.0:
-            raise ValueError("precision weight must be > 0")
-        return cls(mean=mean, variance=1.0 / (2.0 * lam))
-
-
 def probit(x):
     """Standard normal CDF, saturating inside the open interval (0, 1).
 
@@ -158,27 +110,14 @@ def probit(x):
     return np.clip(p, 1e-300, 1.0 - 1e-16)
 
 
-def response_probability(theta: float, item: ItemParams) -> float:
-    """Probability of a correct response at proficiency theta."""
-    return float(probit(item.discrimination * (theta - item.difficulty)))
-
-
-def effective_discrimination(item: ItemParams, elapsed: float,
-                             temporal: TemporalConfig) -> float:
-    """Discrimination of a past response on the current proficiency.
-
-    alpha / sqrt(1 + alpha^2 * nu2 * elapsed): equals alpha at elapsed 0 or
-    nu2 0, and decays toward 0 as the response recedes into the past.
-    """
-    if elapsed < 0:
-        raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return float(effective_discriminations(item.discrimination, elapsed,
-                                           temporal.drift_variance))
-
-
 def effective_discriminations(alphas: np.ndarray, elapsed: np.ndarray,
                               nu2: float) -> np.ndarray:
-    """Vectorized effective discrimination; returns `alphas` itself when nu2 == 0."""
+    """Discrimination of past responses on the current proficiency, elementwise.
+
+    alpha / sqrt(1 + alpha^2 * nu2 * elapsed): equals alpha at elapsed 0 and
+    decays toward 0 as a response recedes into the past; returns `alphas`
+    itself when nu2 == 0.
+    """
     if nu2 == 0.0:
         return alphas
     return alphas / np.sqrt(1.0 + alphas * alphas * (nu2 * elapsed))
@@ -247,99 +186,3 @@ def bernoulli_probit_terms(z: np.ndarray, correct: np.ndarray):
         mills[tail], d2[tail] = _tail_mills(zs_tail)
     d1 = sign * mills
     return ll, d1, d2
-
-
-class ScalarObjectiveValue(NamedTuple):
-    value: float
-    gradient: float
-    curvature: float
-
-
-class VectorObjectiveValue(NamedTuple):
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def _history_arrays(history: Sequence[ResponseEvent], now: float,
-                    temporal: TemporalConfig):
-    """Item parameters, responses and elapsed times of a history, as arrays."""
-    if len(history) == 0:
-        raise ValueError("history must contain at least one response")
-    rows = [(ev.item.discrimination, ev.item.difficulty, ev.correct, ev.step_index,
-             ev.timestamp) for ev in history]
-    alphas, betas, correct, steps, stamps = map(np.array, zip(*rows))
-    elapsed = now - temporal.event_time(steps, stamps)
-    if np.any(elapsed < 0):
-        bad = int(np.argmax(elapsed < 0))
-        raise ValueError(
-            f"event {bad} (item {history[bad].item.item_id!r}) is after now={now}"
-        )
-    return alphas, betas, correct, elapsed
-
-
-def _concept_indices(history: Sequence[ResponseEvent], index: dict) -> np.ndarray:
-    """Coordinate each event reads; raises if its concept is not in `index`."""
-    concept_idx = np.empty(len(history), dtype=np.intp)
-    for j, ev in enumerate(history):
-        cid = ev.item.concept_id
-        if cid not in index:
-            raise KeyError(
-                f"event {j} (item {ev.item.item_id!r}): concept {cid!r} "
-                "is not a node of the prior's graph"
-            )
-        concept_idx[j] = index[cid]
-    return concept_idx
-
-
-def approx_log_posterior_scalar(theta: float, history: Sequence[ResponseEvent],
-                                now: float, temporal: TemporalConfig,
-                                prior: ScalarPriorConfig) -> ScalarObjectiveValue:
-    """Unnormalized log-posterior of the current scalar proficiency.
-
-    -lam*(theta-mean)^2 plus the sum of per-response Bernoulli-probit terms
-    evaluated at the effective discriminations for elapsed(now, event).
-    Concave in theta; gradient and curvature are returned alongside the value.
-    """
-    alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
-    a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
-    z = a_eff * (theta - betas)
-    ll, d1, d2 = bernoulli_probit_terms(z, correct)
-    lam = prior.precision_weight
-    dev = theta - prior.mean
-    value = -lam * dev * dev + float(ll.sum())
-    grad = -2.0 * lam * dev + float((a_eff * d1).sum())
-    curv = -2.0 * lam + float((a_eff * a_eff * d2).sum())
-    return ScalarObjectiveValue(value, grad, curv)
-
-
-def approx_log_posterior_vector(theta_vec: np.ndarray,
-                                history: Sequence[ResponseEvent], now: float,
-                                temporal: TemporalConfig,
-                                prior: "StructuredPrior") -> VectorObjectiveValue:
-    """Unnormalized log-posterior of the per-concept proficiency vector.
-
-    The prior contributes -lam*sum(theta^2) - gamma*sum over prerequisite
-    pairs of (theta_n - theta_m)^2; each response reads only the coordinate of
-    its item's concept.  Raises if an event's concept is not in the prior's
-    graph.
-    """
-    theta_vec = np.asarray(theta_vec, dtype=float)
-    index = prior.graph.index
-    if theta_vec.shape != (len(index),):
-        raise ValueError(
-            f"theta_vec has shape {theta_vec.shape}, expected ({len(index)},)"
-        )
-    concept_idx = _concept_indices(history, index)
-    alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
-    a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
-    z = a_eff * (theta_vec[concept_idx] - betas)
-    ll, d1, d2 = bernoulli_probit_terms(z, correct)
-
-    p_value, p_grad = prior.value_and_grad(theta_vec)
-    value = p_value + float(ll.sum())
-    grad = p_grad.copy()
-    np.add.at(grad, concept_idx, a_eff * d1)
-    hess = -prior.precision.copy()
-    np.add.at(hess, (concept_idx, concept_idx), a_eff * a_eff * d2)
-    return VectorObjectiveValue(value, grad, hess)

@@ -1,0 +1,117 @@
+"""Reference log-posteriors of one response history, the oracles for the solver.
+
+Each objective is written straight from the model, one history of
+`ResponseEvent`s at a time, and returns value, gradient and curvature (or
+Hessian).  Both are concave.  The checks C2/C3 probe them by finite
+differences and eigenvalues, and the solver tests check that the batched
+solve lands on their maximizer.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from ogive.concept_graph import StructuredPrior
+from ogive.irt_core import (
+    ResponseEvent,
+    TemporalConfig,
+    bernoulli_probit_terms,
+    effective_discriminations,
+)
+
+
+class ScalarObjectiveValue(NamedTuple):
+    value: float
+    gradient: float
+    curvature: float
+
+
+class VectorObjectiveValue(NamedTuple):
+    value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+
+def _history_arrays(history: Sequence[ResponseEvent], now: float,
+                    temporal: TemporalConfig):
+    """Item parameters, responses and elapsed times of a history, as arrays."""
+    if len(history) == 0:
+        raise ValueError("history must contain at least one response")
+    rows = [(ev.item.discrimination, ev.item.difficulty, ev.correct, ev.step_index,
+             ev.timestamp) for ev in history]
+    alphas, betas, correct, steps, stamps = map(np.array, zip(*rows))
+    elapsed = now - temporal.event_time(steps, stamps)
+    if np.any(elapsed < 0):
+        bad = int(np.argmax(elapsed < 0))
+        raise ValueError(
+            f"event {bad} (item {history[bad].item.item_id!r}) is after now={now}"
+        )
+    return alphas, betas, correct, elapsed
+
+
+def _concept_indices(history: Sequence[ResponseEvent], index: dict) -> np.ndarray:
+    """Coordinate each event reads; raises if its concept is not in `index`."""
+    concept_idx = np.empty(len(history), dtype=np.intp)
+    for j, ev in enumerate(history):
+        cid = ev.item.concept_id
+        if cid not in index:
+            raise KeyError(
+                f"event {j} (item {ev.item.item_id!r}): concept {cid!r} "
+                "is not a node of the prior's graph"
+            )
+        concept_idx[j] = index[cid]
+    return concept_idx
+
+
+def approx_log_posterior_scalar(theta: float, history: Sequence[ResponseEvent],
+                                now: float, temporal: TemporalConfig,
+                                lam: float, mean: float = 0.0) -> ScalarObjectiveValue:
+    """Unnormalized log-posterior of the current scalar proficiency.
+
+    -lam*(theta-mean)^2 plus the sum of per-response Bernoulli-probit terms
+    evaluated at the effective discriminations for elapsed(now, event).
+    Concave in theta; gradient and curvature are returned alongside the value.
+    """
+    alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
+    a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
+    z = a_eff * (theta - betas)
+    ll, d1, d2 = bernoulli_probit_terms(z, correct)
+    dev = theta - mean
+    value = -lam * dev * dev + float(ll.sum())
+    grad = -2.0 * lam * dev + float((a_eff * d1).sum())
+    curv = -2.0 * lam + float((a_eff * a_eff * d2).sum())
+    return ScalarObjectiveValue(value, grad, curv)
+
+
+def approx_log_posterior_vector(theta_vec: np.ndarray,
+                                history: Sequence[ResponseEvent], now: float,
+                                temporal: TemporalConfig,
+                                prior: StructuredPrior) -> VectorObjectiveValue:
+    """Unnormalized log-posterior of the per-concept proficiency vector.
+
+    The prior contributes -lam*sum(theta^2) - gamma*sum over prerequisite
+    pairs of (theta_n - theta_m)^2; each response reads only the coordinate of
+    its item's concept.  Raises if an event's concept is not in the prior's
+    graph.
+    """
+    theta_vec = np.asarray(theta_vec, dtype=float)
+    index = prior.graph.index
+    if theta_vec.shape != (len(index),):
+        raise ValueError(
+            f"theta_vec has shape {theta_vec.shape}, expected ({len(index)},)"
+        )
+    concept_idx = _concept_indices(history, index)
+    alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
+    a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
+    z = a_eff * (theta_vec[concept_idx] - betas)
+    ll, d1, d2 = bernoulli_probit_terms(z, correct)
+
+    p_value, p_grad = prior.value_and_grad(theta_vec)
+    value = p_value + float(ll.sum())
+    grad = p_grad.copy()
+    np.add.at(grad, concept_idx, a_eff * d1)
+    hess = -prior.precision.copy()
+    np.add.at(hess, (concept_idx, concept_idx), a_eff * a_eff * d2)
+    return VectorObjectiveValue(value, grad, hess)

@@ -19,21 +19,22 @@ from ogive import cli
 from ogive.calibration import CalibrationConfig, ItemBank, calibrate, recovery_correlations
 from ogive.concept_graph import build_prior, chain_graph, save_graph
 from ogive.dataio import Dataset, InteractionRecord, preprocess, write_interactions
-from ogive.evaluation import ModelVariant, _auc_from_arrays, run_online_evaluation
-from ogive.inference import StackedLogPosterior, map_estimate_scalar, map_estimate_vector
+from ogive.evaluation import (
+    ModelVariant,
+    _auc_from_arrays,
+    record_columns,
+    run_online_evaluation,
+)
+from ogive.inference import StackedLogPosterior, estimate_history
 from ogive.irt_core import (
-    STATIC,
     ItemParams,
     ResponseEvent,
-    ScalarPriorConfig,
     TemporalConfig,
-    approx_log_posterior_scalar,
-    approx_log_posterior_vector,
     gaussian_probit_integral,
     probit,
-    response_probability,
 )
 from ogive.simulate import ItemBankSpec, SimulationScenario, generate
+from reference_objectives import approx_log_posterior_scalar, approx_log_posterior_vector
 
 # high-precision normal CDF values, frozen from a 50-digit evaluation
 PROBIT_ORACLE = {
@@ -56,7 +57,8 @@ def random_scalar_instance(rng, max_events=200):
         for i in range(n)
     ]
     temporal = TemporalConfig(float(rng.uniform(0, 0.5)))
-    prior = ScalarPriorConfig(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.2, 2.0)))
+    mean, variance = float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.2, 2.0))
+    prior = (1.0 / (2.0 * variance), mean)  # (lam, mean)
     now = float(n + 1)
     theta = float(rng.uniform(-3, 3))
     return theta, history, now, temporal, prior
@@ -145,9 +147,9 @@ def test_c02_finite_difference_consistency():
     rng = np.random.default_rng(1001)
     for _ in range(60):
         theta, history, now, temporal, prior = random_scalar_instance(rng)
-        out = approx_log_posterior_scalar(theta, history, now, temporal, prior)
-        vp = approx_log_posterior_scalar(theta + h, history, now, temporal, prior)
-        vm = approx_log_posterior_scalar(theta - h, history, now, temporal, prior)
+        out = approx_log_posterior_scalar(theta, history, now, temporal, *prior)
+        vp = approx_log_posterior_scalar(theta + h, history, now, temporal, *prior)
+        vm = approx_log_posterior_scalar(theta - h, history, now, temporal, *prior)
         fd_grad = (vp.value - vm.value) / (2 * h)
         assert abs(fd_grad - out.gradient) <= 1e-6 * max(1.0, abs(out.gradient))
         fd_curv = (vp.gradient - vm.gradient) / (2 * h)
@@ -190,7 +192,7 @@ def test_c03_concavity_probe():
     rng = np.random.default_rng(77)
     for _ in range(500):
         theta, history, now, temporal, prior = random_scalar_instance(rng, max_events=50)
-        out = approx_log_posterior_scalar(theta, history, now, temporal, prior)
+        out = approx_log_posterior_scalar(theta, history, now, temporal, *prior)
         assert out.curvature <= 1e-10
     for _ in range(500):
         theta, history, now, temporal, prior = random_vector_instance(rng, max_events=30)
@@ -266,27 +268,27 @@ def test_c05_oracle_equivalence():
     # warm-started lockstep harness vs fresh single-history solves per prefix
     scalar_variant = ModelVariant("temporal_2po", nu2=0.3, lam=0.8)
     vector_variant = ModelVariant("tskirt", nu2=0.1, lam=1.0, gamma=0.5)
+    _, alphas, betas, _ = bank.arrays()
     for variant in (scalar_variant, vector_variant):
         report = run_online_evaluation(data, bank, variant, prior_graph=graph,
                                        n_buckets=1)
-        temporal = TemporalConfig(variant.nu2, "step")
+        if variant.is_vector:
+            precision = build_prior(graph, variant.lam, variant.gamma).precision
+            item_concept = np.array([graph.index[bank[q].concept_id] for q in bank.items])
+        else:
+            precision = np.array([[2.0 * variant.lam]])
+            item_concept = np.zeros(len(bank), dtype=np.intp)
         flat = 0
         for sid in report.students:
-            recs = data.students[sid]
-            events = [
-                ResponseEvent(bank[r.item_id], r.correct, step_index=t + 1)
-                for t, r in enumerate(recs)
-            ]
-            for t in range(len(events)):
-                if variant.is_scalar:
-                    prior = ScalarPriorConfig.from_precision_weight(variant.lam)
-                    est = map_estimate_scalar(events[:t], float(t + 1), temporal, prior)
-                    theta = float(est.theta[0])
-                else:
-                    prior = build_prior(graph, variant.lam, variant.gamma)
-                    est = map_estimate_vector(events[:t], float(t + 1), temporal, prior)
-                    theta = est.coordinate(bank[recs[t].item_id].concept_id)
-                expected = response_probability(theta, bank[recs[t].item_id])
+            item, correct, _ = record_columns(data.students[sid], bank)
+            steps = np.arange(1.0, len(item) + 1)
+            for t in range(len(item)):
+                est = estimate_history(
+                    alphas[item[:t]], betas[item[:t]], correct[:t], steps[:t], float(t + 1),
+                    variant.nu2, precision, item_concept[item[:t]],
+                )
+                j = item[t]
+                expected = probit(alphas[j] * (est.theta[item_concept[j]] - betas[j]))
                 assert abs(report.probabilities[flat] - expected) <= 1e-8
                 flat += 1
         assert flat == report.n_predictions == 30
@@ -433,8 +435,6 @@ def test_c08_temporal_discounting_property():
         rng = np.random.default_rng(seed)
         nu2 = float(rng.uniform(0.01, 1.0))
         lam = float(rng.uniform(0.3, 1.5))
-        prior = ScalarPriorConfig.from_precision_weight(lam)
-        temporal = TemporalConfig(nu2, "step")
         base = list(zip(
             [ItemParams(f"b{i}", float(rng.uniform(0.5, 2.0)),
                         float(rng.uniform(-2, 2))) for i in range(90)],
@@ -445,23 +445,24 @@ def test_c08_temporal_discounting_property():
         probe = ItemParams("probe", float(rng.uniform(0.5, 2.0)),
                            float(rng.uniform(-1, 1)))
 
-        def events(seq):
-            return [ResponseEvent(item, int(r), step_index=i + 1)
-                    for i, (item, r) in enumerate(seq)]
-
-        def predict(history, temp, now):
-            est = map_estimate_scalar(events(history), now, temp, prior)
+        def predict(history, drift, now):
+            alphas = np.array([item.discrimination for item, _ in history])
+            betas = np.array([item.difficulty for item, _ in history])
+            correct = np.array([r for _, r in history], dtype=float)
+            steps = np.arange(1.0, len(history) + 1)
+            est = estimate_history(alphas, betas, correct, steps, now, drift,
+                                   np.array([[2.0 * lam]]), np.zeros(len(history), dtype=np.intp))
             assert est.converged
-            return response_probability(float(est.theta[0]), probe)
+            return float(probit(probe.discrimination * (est.theta[0] - probe.difficulty)))
 
-        p_base = predict(base, temporal, 101.0)
-        p_start = predict(burst + base, temporal, 101.0)
-        p_end = predict(base + burst, temporal, 101.0)
+        p_base = predict(base, nu2, 101.0)
+        p_start = predict(burst + base, nu2, 101.0)
+        p_end = predict(base + burst, nu2, 101.0)
         assert abs(p_end - p_base) > abs(p_start - p_base)
 
         # without drift the placement cannot matter
-        s_start = predict(burst + base, STATIC, 101.0)
-        s_end = predict(base + burst, STATIC, 101.0)
+        s_start = predict(burst + base, 0.0, 101.0)
+        s_end = predict(base + burst, 0.0, 101.0)
         assert abs(s_end - s_start) < 1e-12
 
 

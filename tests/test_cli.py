@@ -130,6 +130,8 @@ def test_non_finite_clock_unit_is_a_user_error(sim_dir, clock, capsys):
     ("simulate", ["--arrival", "exp:nan"], "mean_inter_arrival_seconds must be finite"),
     ("simulate", ["--beta-range=-inf:0"], "difficulty_range must be finite"),
     ("predict", ["--model", "tskirt", "--now", "nan"], "now must be finite"),
+    ("predict", ["--model", "spc", "--now", "nan"], "now must be finite"),
+    ("predict", ["--model", "spc", "--now", "inf"], "now must be finite"),
 ])
 def test_non_finite_setting_is_a_user_error(sim_dir, tmp_path, capsys, command, flags,
                                             message):
@@ -140,13 +142,39 @@ def test_non_finite_setting_is_a_user_error(sim_dir, tmp_path, capsys, command, 
         "calibrate": ["--data", data, "--out", str(tmp_path / "bank.csv")],
         "simulate": ["--students", "2", "--out", str(tmp_path / "sim")],
         "predict": ["--history", data, "--student", "s0001", "--bank", bank,
-                    "--graph", graph, "--items", "q0001"],
+                    "--graph", graph, "--items", "q0001", "--out", str(tmp_path / "p.json")],
     }[command]
     assert run_cli(command, *inputs, *flags) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("simulate", "items_per_concept: 2.7"),
+    ("calibrate", "max_rounds: .inf"),
+    ("evaluate", "buckets: .nan"),
+    ("sweep", "solver_max_iterations: 1.5"),
+])
+def test_non_integral_config_setting_is_a_user_error(sim_dir, tmp_path, capsys, command,
+                                                     setting):
+    data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    inputs = {
+        "simulate": ["--students", "2", "--out", str(out)],
+        "calibrate": ["--data", data, "--out", str(out)],
+        "evaluate": ["--data", data, "--bank", bank, "--model", "spc", "--out", str(out)],
+        "sweep": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
+    }[command]
+    assert run_cli(command, *inputs, "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    key = setting.split(":")[0]
+    assert f"{key} must be an integer" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--nu2", "--lambda", "--gamma"])
@@ -305,6 +333,9 @@ def prefix_history_file(sim_dir, tmp_path, sid, k):
 @pytest.mark.parametrize("model_args, variant", [
     (("--model", "static_2po"), ModelVariant.from_name("static_2po")),
     (("--model", "tskirt", "--nu2", "0.2"), ModelVariant.from_name("tskirt", nu2=0.2)),
+    (("--model", "temporal_2po"), ModelVariant.from_name("temporal_2po")),
+    (("--model", "factorial_mvn"), ModelVariant.from_name("factorial_mvn")),
+    (("--model", "correlated_mvn"), ModelVariant.from_name("correlated_mvn")),
 ])
 def test_predict_matches_streaming_harness_prefix(
     sim_dir, tmp_path, capsys, model_args, variant
@@ -312,24 +343,32 @@ def test_predict_matches_streaming_harness_prefix(
     data = preprocess(load_interactions(sim_dir / "interactions.csv"))
     bank = ItemBank.load_csv(sim_dir / "true_bank.csv")
     graph = load_graph(sim_dir / "graph.txt")
-    report = run_online_evaluation(data, bank, variant, prior_graph=graph, n_buckets=1)
-    lengths = np.bincount(report.student_index)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     s = 4
-    sid = report.students[s]
     k = 7  # predict the 8th event from the first 7
-    _, history_path = prefix_history_file(sim_dir, tmp_path, sid, k)
-    next_item = data.students[sid][k].item_id
-    code = run_cli(
-        "predict", "--history", str(history_path), "--bank",
-        str(sim_dir / "true_bank.csv"), "--graph", str(sim_dir / "graph.txt"),
-        *model_args, "--items", next_item,
-    )
-    assert code == 0
-    line = capsys.readouterr().out.strip().splitlines()[-1]
-    name, prob = line.split("\t")
-    assert name == next_item
-    assert float(prob) == pytest.approx(report.probabilities[starts[s] + k], abs=1e-12)
+    # the harness warm-starts and predict starts at the prior mean, both stopping
+    # at gradient <= 1e-8; temporal_2po's nu2 = 10 discounts old events to a flat
+    # posterior, where that leaves 3e-11 between the two, inside C5's 1e-8
+    tol = 1e-8 if variant.kind == "temporal_2po" else 1e-12
+    for clock, spu in (("step", 1.0), ("wall:3600", 3600.0)):
+        report = run_online_evaluation(data, bank, variant, prior_graph=graph, n_buckets=1,
+                                       clock=clock.split(":")[0], seconds_per_unit=spu)
+        lengths = np.bincount(report.student_index)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        sid = report.students[s]
+        _, history_path = prefix_history_file(sim_dir, tmp_path, sid, k)
+        next_event = data.students[sid][k]
+        # under the wall clock the harness predicts at the next event's own time
+        now = () if clock == "step" else ("--now", repr(next_event.timestamp / spu))
+        code = run_cli(
+            "predict", "--history", str(history_path), "--bank",
+            str(sim_dir / "true_bank.csv"), "--graph", str(sim_dir / "graph.txt"),
+            *model_args, "--clock", clock, *now, "--items", next_event.item_id,
+        )
+        assert code == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        name, prob = line.split("\t")
+        assert name == next_event.item_id
+        assert float(prob) == pytest.approx(report.probabilities[starts[s] + k], abs=tol)
 
 
 def test_predict_spc_and_json_output(sim_dir, tmp_path, capsys):

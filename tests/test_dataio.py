@@ -123,12 +123,18 @@ def test_malformed_rows_lenient_vs_strict(tmp_path):
         "s1,q3,1\n"            # wrong field count, line 4
         "s1,q4,0,12.5\n"       # fractional seconds, line 5
         "s1,q5,0,400\n"
+        "s1,q6,1,inf\n"        # non-finite timestamps, lines 7-9
+        "s1,q7,1,1e400\n"
+        "s1,q8,1,nan\n"
     )
     d = load_interactions(path)
     assert [r.item_id for r in d.students["s1"]] == ["q1", "q5"]
-    assert [lineno for lineno, _ in d.parse_errors] == [3, 4, 5]
-    assert d.summary()["n_parse_errors"] == 3
+    assert [lineno for lineno, _ in d.parse_errors] == [3, 4, 5, 7, 8, 9]
+    assert d.summary()["n_parse_errors"] == 6
     with pytest.raises(DataError, match="line 3"):
+        load_interactions(path, strict=True)
+    path.write_text("student_id,item_id,correct,timestamp\ns1,q1,1,1e400\n")
+    with pytest.raises(DataError, match="line 2: timestamp '1e400' is not an integer"):
         load_interactions(path, strict=True)
 
 
@@ -139,11 +145,17 @@ def test_jsonl_malformed_lines(tmp_path):
         "not json\n"
         '{"student_id": "s", "correct": 1, "timestamp": 4}\n'
         "[1, 2]\n"
+        '{"student_id": "s", "item_id": "q", "correct": 1, "timestamp": 1e400}\n'
+        '{"student_id": "s", "item_id": "q", "correct": 1, "timestamp": Infinity}\n'
+        '{"student_id": "s", "item_id": "q", "correct": 1, "timestamp": "inf"}\n'
     )
     d = load_interactions(path, format="jsonl")
     assert d.n_responses == 1
-    assert [lineno for lineno, _ in d.parse_errors] == [2, 3, 4]
+    assert [lineno for lineno, _ in d.parse_errors] == [2, 3, 4, 5, 6, 7]
     with pytest.raises(DataError, match="line 2"):
+        load_interactions(path, format="jsonl", strict=True)
+    path.write_text('{"student_id": "s", "item_id": "q", "correct": 1, "timestamp": 1e400}\n')
+    with pytest.raises(DataError, match="line 1: timestamp inf is not an integer"):
         load_interactions(path, format="jsonl", strict=True)
 
 

@@ -24,20 +24,15 @@ from ogive.evaluation import (
     ModelVariant,
     _auc_from_arrays,
     bucket_by_student_percent_correct,
+    record_columns,
     resolve_prior,
     run_online_evaluation,
     summary_table,
     write_bucket_tsv,
     write_report_json,
 )
-from ogive.inference import map_estimate_scalar
-from ogive.irt_core import (
-    ItemParams,
-    ResponseEvent,
-    ScalarPriorConfig,
-    TemporalConfig,
-    probit,
-)
+from ogive.inference import estimate_history
+from ogive.irt_core import ItemParams, probit
 
 
 def small_bank(n_items=6, concepts=("c01", "c02")):
@@ -293,19 +288,17 @@ def test_scalar_harness_matches_fresh_prefix_solves():
     data = streaming_data(bank, n_students=3, n_events=8, seed=5)
     model = ModelVariant.from_name("temporal_2po", nu2=0.3, lam=0.8)
     report = run_online_evaluation(data, bank, model, n_buckets=1)
-    temporal = TemporalConfig(0.3, "step")
-    prior = ScalarPriorConfig.from_precision_weight(0.8)
+    _, alphas, betas, _ = bank.arrays()
     flat = 0
     for sid in report.students:
-        recs = data.students[sid]
-        events = [
-            ResponseEvent(bank[r.item_id], r.correct, step_index=i + 1)
-            for i, r in enumerate(recs)
-        ]
-        for t in range(len(events)):
-            est = map_estimate_scalar(events[:t], float(t + 1), temporal, prior)
-            item = bank[recs[t].item_id]
-            expected = probit(item.discrimination * (est.theta[0] - item.difficulty))
+        item, correct, _ = record_columns(data.students[sid], bank)
+        steps = np.arange(1.0, len(item) + 1)
+        for t in range(len(item)):
+            est = estimate_history(alphas[item[:t]], betas[item[:t]], correct[:t], steps[:t],
+                                   float(t + 1), 0.3, np.array([[1.6]]),
+                                   np.zeros(t, dtype=np.intp))
+            j = item[t]
+            expected = probit(alphas[j] * (est.theta[0] - betas[j]))
             assert report.probabilities[flat] == pytest.approx(expected, abs=1e-7)
             flat += 1
     assert flat == report.n_predictions

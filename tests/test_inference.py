@@ -4,9 +4,10 @@ The one-correct-response fixture (alpha=1, beta=0, lam=0.5, no drift) has its
 maximizer at the root of mills(theta) = theta; golden-section search on the
 exact objective, run below as an independent oracle, gives
 0.506054468989180763.  Batched lockstep solves are checked row for row against
-the reference objectives `approx_log_posterior_*`: the reference gradient
-vanishes at the returned point and scipy's BFGS on the negated reference lands
-on the same point.
+the reference objectives `approx_log_posterior_*` in `reference_objectives`:
+the reference gradient vanishes at the returned point and scipy's BFGS on the
+negated reference lands on the same point.  Single-history estimates go
+through `estimate_history`, the batched solve at S = 1.
 """
 
 import math
@@ -23,7 +24,7 @@ from ogive.inference import (
     ProficiencyEstimate,
     SolverConfig,
     batched_vector_map,
-    map_estimate_scalar,
+    estimate_history,
     map_estimate_vector,
     predict_next,
 )
@@ -31,12 +32,10 @@ from ogive.irt_core import (
     STATIC,
     ItemParams,
     ResponseEvent,
-    ScalarPriorConfig,
     TemporalConfig,
-    approx_log_posterior_scalar,
-    approx_log_posterior_vector,
     probit,
 )
+from reference_objectives import approx_log_posterior_scalar, approx_log_posterior_vector
 
 ONE_CORRECT_ROOT = 0.506054468989180763
 PHI_M2 = 0.0227501319481792072002826
@@ -69,6 +68,19 @@ def scalar_events(pairs, start_step=1):
     ]
 
 
+def scalar_estimate(history, now, temporal, lam=1.0, solver=DEFAULT_SOLVER):
+    """`estimate_history` on a one-concept event history, prior weight lam."""
+    cols = np.array([(ev.item.discrimination, ev.item.difficulty, ev.correct)
+                     for ev in history]).reshape(-1, 3)
+    steps = np.array([ev.step_index for ev in history], dtype=float)
+    stamps = np.array([ev.timestamp for ev in history], dtype=float)
+    return estimate_history(
+        cols[:, 0], cols[:, 1], cols[:, 2], temporal.event_time(steps, stamps), now,
+        temporal.drift_variance, np.array([[2.0 * lam]]),
+        np.zeros(len(history), dtype=np.intp), solver,
+    )
+
+
 def test_solver_config_validation():
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gradient_tolerance must be finite"):
@@ -78,10 +90,9 @@ def test_solver_config_validation():
 
 
 def test_empty_history_returns_prior_mean():
-    prior = ScalarPriorConfig(mean=0.3, variance=0.5)
-    est = map_estimate_scalar([], now=1.0, temporal=STATIC, prior=prior)
-    assert est.theta[0] == 0.3
-    assert est.converged and est.iterations == 0
+    est = scalar_estimate([], 1.0, STATIC)
+    np.testing.assert_array_equal(est.theta, [0.0])
+    assert est.converged and est.iterations == 0 and est.concept_ids is None
 
     vprior = build_prior(chain_graph(3), lam=1.0, gamma=0.5)
     vest = map_estimate_vector([], now=1.0, temporal=STATIC, prior=vprior)
@@ -91,16 +102,15 @@ def test_empty_history_returns_prior_mean():
 
 def test_one_correct_response_matches_golden_section_oracle():
     history = scalar_events([(1.0, 0.0, 1)])
-    prior = ScalarPriorConfig.from_precision_weight(0.5)
 
     def objective(theta):
-        return approx_log_posterior_scalar(theta, history, 2.0, STATIC, prior).value
+        return approx_log_posterior_scalar(theta, history, 2.0, STATIC, 0.5).value
 
     # float64 golden section resolves a smooth maximum to about sqrt(eps)
     oracle = golden_section_max(objective, -2.0, 2.0)
     assert oracle == pytest.approx(ONE_CORRECT_ROOT, abs=5e-8)
 
-    est = map_estimate_scalar(history, now=2.0, temporal=STATIC, prior=prior)
+    est = scalar_estimate(history, 2.0, STATIC, lam=0.5)
     assert est.converged
     assert est.theta[0] == pytest.approx(ONE_CORRECT_ROOT, abs=1e-8)
     # at the optimum the inverse Mills ratio equals theta itself
@@ -119,8 +129,7 @@ def test_many_responses_recover_static_truth():
         r = int(rng.random() < probit(a * (theta_true - b)))
         pairs.append((a, b, r))
     history = scalar_events(pairs)
-    prior = ScalarPriorConfig.from_precision_weight(1.0)
-    est = map_estimate_scalar(history, now=1001.0, temporal=STATIC, prior=prior)
+    est = scalar_estimate(history, 1001.0, STATIC)
     assert est.converged
     assert abs(est.theta[0] - theta_true) <= 0.1
 
@@ -132,22 +141,18 @@ def test_converged_implies_gradient_below_tolerance():
         for _ in range(40)
     ]
     history = scalar_events(pairs)
-    temporal, prior = TemporalConfig(0.05), ScalarPriorConfig()
-    est = map_estimate_scalar(history, now=41.0, temporal=temporal, prior=prior)
+    temporal = TemporalConfig(0.05)
+    est = scalar_estimate(history, 41.0, temporal)
     assert est.converged
-    reference = approx_log_posterior_scalar(est.theta[0], history, 41.0, temporal, prior)
+    reference = approx_log_posterior_scalar(est.theta[0], history, 41.0, temporal, 1.0)
     assert abs(reference.gradient) <= DEFAULT_SOLVER.gradient_tolerance
 
 
 def test_max_iterations_zero_returns_initial_point():
     history = scalar_events([(1.0, 0.0, 1)])
     solver = SolverConfig(max_iterations=0)
-    est = map_estimate_scalar(
-        history, now=2.0, temporal=STATIC, prior=ScalarPriorConfig()
-    )
-    est0 = map_estimate_scalar(
-        history, now=2.0, temporal=STATIC, prior=ScalarPriorConfig(), solver=solver
-    )
+    est = scalar_estimate(history, 2.0, STATIC)
+    est0 = scalar_estimate(history, 2.0, STATIC, solver=solver)
     assert est0.theta[0] == 0.0
     assert not est0.converged
     assert est0.iterations == 0
@@ -158,9 +163,15 @@ def test_max_iterations_zero_returns_initial_point():
 def test_non_finite_now_rejected(history):
     vprior = build_prior(ConceptGraph(("all",)), lam=1.0, gamma=0.0)
     with pytest.raises(ValueError, match="now must be finite"):
-        map_estimate_scalar(history, float("nan"), STATIC, ScalarPriorConfig())
+        scalar_estimate(history, float("nan"), STATIC)
     with pytest.raises(ValueError, match="now must be finite"):
         map_estimate_vector(history, float("nan"), STATIC, vprior)
+
+
+def test_event_after_now_rejected():
+    history = scalar_events([(1.0, 0.0, 1), (1.0, 0.0, 0)])
+    with pytest.raises(ValueError, match="event 1 is after now=1.5"):
+        scalar_estimate(history, 1.5, STATIC)
 
 
 def test_initialization_independence():
@@ -193,31 +204,29 @@ def test_monotone_response_effect(seed):
         for _ in range(n)
     ]
     base = scalar_events(pairs)
-    prior = ScalarPriorConfig()
     temporal = TemporalConfig(float(rng.uniform(0, 0.3)))
     now = float(n + 2)
     extra_item = ItemParams("extra", rng.uniform(0.3, 2.5), rng.uniform(-2, 2))
-    theta_base = map_estimate_scalar(base, now, temporal, prior).theta[0]
+    theta_base = scalar_estimate(base, now, temporal).theta[0]
     up = base + [ResponseEvent(extra_item, 1, step_index=n + 1)]
     down = base + [ResponseEvent(extra_item, 0, step_index=n + 1)]
-    theta_up = map_estimate_scalar(up, now, temporal, prior).theta[0]
-    theta_down = map_estimate_scalar(down, now, temporal, prior).theta[0]
+    theta_up = scalar_estimate(up, now, temporal).theta[0]
+    theta_down = scalar_estimate(down, now, temporal).theta[0]
     assert theta_up >= theta_base - 1e-7
     assert theta_down <= theta_base + 1e-7
 
 
 def test_temporal_discounting_moves_old_evidence_less():
-    prior = ScalarPriorConfig()
     temporal = TemporalConfig(0.1)
     item = ItemParams("q", 1.5, 0.5)
     recent = [ResponseEvent(item, 1, step_index=100)]
     old = [ResponseEvent(item, 1, step_index=1)]
-    t_recent = map_estimate_scalar(recent, 101.0, temporal, prior).theta[0]
-    t_old = map_estimate_scalar(old, 101.0, temporal, prior).theta[0]
+    t_recent = scalar_estimate(recent, 101.0, temporal).theta[0]
+    t_old = scalar_estimate(old, 101.0, temporal).theta[0]
     assert t_recent > t_old > 0.0
     # no drift: placement is irrelevant
-    s_recent = map_estimate_scalar(recent, 101.0, STATIC, prior).theta[0]
-    s_old = map_estimate_scalar(old, 101.0, STATIC, prior).theta[0]
+    s_recent = scalar_estimate(recent, 101.0, STATIC).theta[0]
+    s_old = scalar_estimate(old, 101.0, STATIC).theta[0]
     assert s_recent == pytest.approx(s_old, abs=1e-10)
 
 
@@ -259,7 +268,7 @@ def test_predict_next_examples():
     )
     assert predict_next(scalar, ItemParams("q", 2.0, 1.3)) == pytest.approx(0.5)
 
-    empty = map_estimate_scalar([], 1.0, STATIC, ScalarPriorConfig())
+    empty = scalar_estimate([], 1.0, STATIC)
     assert predict_next(empty, ItemParams("q", 1.0, 0.0)) == pytest.approx(0.5)
 
     vector = ProficiencyEstimate(
@@ -302,9 +311,9 @@ def assert_reference_optimum(objective, theta):
     np.testing.assert_allclose(result.x, theta, atol=1e-6)
 
 
-def scalar_reference(history, now, temporal, prior):
+def scalar_reference(history, now, temporal, lam, mean=0.0):
     def objective(x):
-        out = approx_log_posterior_scalar(float(x[0]), history, now, temporal, prior)
+        out = approx_log_posterior_scalar(float(x[0]), history, now, temporal, lam, mean)
         return out.value, np.array([out.gradient])
 
     return objective
@@ -328,16 +337,19 @@ def test_batched_scalar_matches_single_history_solver():
     )
     assert theta.shape == (40, 1)
     assert converged.all()
-    prior = ScalarPriorConfig.from_precision_weight(lam, mean)
     for s in range(40):
         n = int(lengths[s])
         if n == 0:
             assert theta[s, 0] == mean and iterations[s] == 0
             continue
         history = scalar_events([(a[s, i], beta[s, i], int(correct[s, i])) for i in range(n)])
-        assert_reference_optimum(scalar_reference(history, float(n + 1), STATIC, prior), theta[s])
-        ref = map_estimate_scalar(history, float(n + 1), STATIC, prior)
-        assert theta[s, 0] == pytest.approx(ref.theta[0], abs=1e-7)
+        assert_reference_optimum(scalar_reference(history, float(n + 1), STATIC, lam, mean),
+                                 theta[s])
+        # the single-history core has a zero prior mean: shift theta and beta by it
+        shifted = scalar_events([(a[s, i], beta[s, i] - mean, int(correct[s, i]))
+                                 for i in range(n)])
+        ref = scalar_estimate(shifted, float(n + 1), STATIC, lam=lam)
+        assert theta[s, 0] == pytest.approx(ref.theta[0] + mean, abs=1e-7)
 
 
 def test_batched_scalar_warm_start_lands_on_same_optimum():
@@ -353,11 +365,10 @@ def test_batched_scalar_warm_start_lands_on_same_optimum():
     warm, conv_w, iters = solve(cold + rng.normal(scale=0.5, size=(25, 1)))
     assert conv_c.all() and conv_w.all()
     np.testing.assert_allclose(warm, cold, atol=1e-7)
-    prior = ScalarPriorConfig.from_precision_weight(1.0)
     for s in np.flatnonzero(lengths):
         n = int(lengths[s])
         history = scalar_events([(a[s, i], beta[s, i], int(correct[s, i])) for i in range(n)])
-        _, grad = scalar_reference(history, float(n + 1), STATIC, prior)(warm[s])
+        _, grad = scalar_reference(history, float(n + 1), STATIC, 1.0)(warm[s])
         assert abs(grad[0]) <= 1e-6
     # restart at the solution itself: nothing to do
     again, conv_a, iters_a = solve(cold)

@@ -1,4 +1,4 @@
-"""Unit tests for the probit response kernel and log-posterior objectives."""
+"""Unit tests for the probit response kernel and the reference log-posteriors."""
 
 import math
 import warnings
@@ -13,18 +13,15 @@ from ogive.irt_core import (
     STATIC,
     ItemParams,
     ResponseEvent,
-    ScalarPriorConfig,
     TemporalConfig,
-    approx_log_posterior_scalar,
-    approx_log_posterior_vector,
     bernoulli_probit_terms,
-    effective_discrimination,
     effective_discriminations,
     gaussian_probit_integral,
     probit,
-    response_probability,
 )
 from ogive.concept_graph import build_prior, chain_graph
+from ogive.inference import ProficiencyEstimate, predict_next
+from reference_objectives import approx_log_posterior_scalar, approx_log_posterior_vector
 
 # frozen 30-digit standard normal CDF values, computed independently with
 # mpmath.erfc at 50-digit working precision
@@ -97,6 +94,9 @@ def test_response_event_validation():
 
 
 def test_response_probability_examples():
+    def response_probability(theta, item):
+        return predict_next(ProficiencyEstimate(np.array([theta]), True, 0), item)
+
     assert response_probability(1.0, ItemParams("q", 1.0, 0.0)) == pytest.approx(
         PHI_1, abs=1e-10
     )
@@ -122,25 +122,11 @@ def test_temporal_config_clocks():
             TemporalConfig(0.1, "wall", seconds_per_unit)
 
 
-def test_scalar_prior_parameterization():
-    prior = ScalarPriorConfig()
-    assert prior.mean == 0.0
-    assert prior.variance == 0.5
-    assert prior.precision_weight == pytest.approx(1.0)
-    assert ScalarPriorConfig.from_precision_weight(1.0).variance == pytest.approx(0.5)
-    assert ScalarPriorConfig.from_precision_weight(0.5).variance == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        ScalarPriorConfig(variance=0.0)
-
-
 def test_effective_discrimination_basics():
-    item = ItemParams("q", 1.3, 0.0)
-    assert effective_discrimination(item, 0.0, TemporalConfig(2.0)) == 1.3
-    assert effective_discrimination(item, 9.0, STATIC) == 1.3
-    got = effective_discrimination(ItemParams("q", 1.0, 0.0), 3.0, TemporalConfig(1.0))
+    assert effective_discriminations(np.array([1.3]), np.array([0.0]), 2.0)[0] == 1.3
+    assert effective_discriminations(np.array([1.3]), np.array([9.0]), 0.0)[0] == 1.3
+    got = effective_discriminations(np.array([1.0]), np.array([3.0]), 1.0)[0]
     assert got == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        effective_discrimination(item, -0.5, TemporalConfig(1.0))
 
 
 @given(
@@ -150,10 +136,8 @@ def test_effective_discrimination_basics():
     st.floats(1e-3, 20.0),
 )
 def test_effective_discrimination_bounds_and_decay(alpha, nu2, elapsed, delta):
-    item = ItemParams("q", alpha, 0.0)
-    cfg = TemporalConfig(nu2)
-    a1 = effective_discrimination(item, elapsed, cfg)
-    a2 = effective_discrimination(item, elapsed + delta, cfg)
+    a1, a2 = effective_discriminations(np.full(2, alpha), np.array([elapsed, elapsed + delta]),
+                                       nu2)
     assert 0.0 < a1 <= alpha
     assert a2 < a1
 
@@ -166,8 +150,8 @@ def test_effective_discriminations_matches_scalar():
     got = effective_discriminations(alphas, elapsed, nu2)
     for i in range(4):
         for j in range(5):
-            item = ItemParams("q", alphas[i, j], 0.0)
-            want = effective_discrimination(item, elapsed[i, j], TemporalConfig(nu2))
+            a = float(alphas[i, j])
+            want = a / math.sqrt(1.0 + a * a * nu2 * float(elapsed[i, j]))
             assert got[i, j] == pytest.approx(want, rel=1e-15)
 
 
@@ -286,31 +270,29 @@ def _history(events):
 def test_scalar_log_posterior_single_event_example():
     # one correct response on a unit item, static clock, precision weight 0.5:
     # at theta=0 every prior term vanishes and the value is log(1/2)
-    prior = ScalarPriorConfig.from_precision_weight(0.5)
-    out = approx_log_posterior_scalar(0.0, _history([1]), 2.0, STATIC, prior)
+    out = approx_log_posterior_scalar(0.0, _history([1]), 2.0, STATIC, 0.5)
     assert out.value == pytest.approx(np.log(0.5), abs=1e-12)
 
 
 def test_scalar_log_posterior_rejects_bad_history():
-    prior = ScalarPriorConfig()
     with pytest.raises(ValueError):
-        approx_log_posterior_scalar(0.0, [], 1.0, STATIC, prior)
+        approx_log_posterior_scalar(0.0, [], 1.0, STATIC, 1.0)
     with pytest.raises(ValueError):
         # event at step 5 lies after now=2
         item = ItemParams("q", 1.0, 0.0)
         ev = ResponseEvent(item, 1, step_index=5)
-        approx_log_posterior_scalar(0.0, [ev], 2.0, STATIC, prior)
+        approx_log_posterior_scalar(0.0, [ev], 2.0, STATIC, 1.0)
 
 
 def test_scalar_log_posterior_gradient_spot_check():
-    prior = ScalarPriorConfig.from_precision_weight(1.0)
+    lam = 1.0
     temporal = TemporalConfig(0.3)
     hist = _history([1, 0, 1, 1, 0, 1])
     h = 1e-5
     for theta in (-1.2, 0.0, 0.8):
-        out = approx_log_posterior_scalar(theta, hist, 7.0, temporal, prior)
-        vp = approx_log_posterior_scalar(theta + h, hist, 7.0, temporal, prior)
-        vm = approx_log_posterior_scalar(theta - h, hist, 7.0, temporal, prior)
+        out = approx_log_posterior_scalar(theta, hist, 7.0, temporal, lam)
+        vp = approx_log_posterior_scalar(theta + h, hist, 7.0, temporal, lam)
+        vm = approx_log_posterior_scalar(theta - h, hist, 7.0, temporal, lam)
         assert out.gradient == pytest.approx((vp.value - vm.value) / (2 * h), rel=1e-6)
         assert out.curvature == pytest.approx(
             (vp.gradient - vm.gradient) / (2 * h), rel=1e-4
@@ -338,13 +320,12 @@ def test_vector_log_posterior_shape_validation():
 def test_vector_log_posterior_reduces_to_scalar_on_one_concept():
     graph = chain_graph(1)
     prior = build_prior(graph, 1.0, 0.0)
-    sprior = ScalarPriorConfig.from_precision_weight(1.0)
     item = ItemParams("q", 1.4, -0.3, concept_id="c01")
     hist = [ResponseEvent(item, r, step_index=i + 1) for i, r in enumerate([1, 1, 0])]
     temporal = TemporalConfig(0.2)
     for theta in (-0.7, 0.4):
         vec = approx_log_posterior_vector(np.array([theta]), hist, 4.0, temporal, prior)
-        sca = approx_log_posterior_scalar(theta, hist, 4.0, temporal, sprior)
+        sca = approx_log_posterior_scalar(theta, hist, 4.0, temporal, 1.0)
         assert vec.value == pytest.approx(sca.value, rel=1e-12, abs=1e-12)
         assert vec.gradient[0] == pytest.approx(sca.gradient, rel=1e-12, abs=1e-12)
         assert vec.hessian[0, 0] == pytest.approx(sca.curvature, rel=1e-12, abs=1e-12)
