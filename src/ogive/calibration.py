@@ -195,9 +195,13 @@ def calibrate(
     beta = np.full(n_items, DIFFICULTY_PRIOR_MEAN)
     theta = np.zeros(n_students)
 
+    # each response's sign, folded into the kernel's argument
+    sign = np.where(resp > 0, 1.0, -1.0)
+
     def joint_objective(th, a, b) -> float:
-        z = a[q_idx] * (th[s_idx] - b[q_idx])
-        ll, _, _ = bernoulli_probit_terms(z, resp)
+        zs = a[q_idx] * (th[s_idx] - b[q_idx])
+        zs *= sign
+        ll, _, _ = bernoulli_probit_terms(zs)
         value = float(ll.sum())
         value -= lam_student * float(((th - STUDENT_PRIOR_MEAN) ** 2).sum())
         value -= float(((b - DIFFICULTY_PRIOR_MEAN) ** 2).sum()) / (

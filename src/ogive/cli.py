@@ -50,19 +50,49 @@ CLI_FORMAT_VERSION = "1"
 # -- option parsing helpers ---------------------------------------------------
 
 
-def _parse_pair(text, name: str) -> tuple[float, float]:
+def _number(value, name: str, integer: bool = False):
+    """value as a float, or as an int when `integer`; anything else is an error naming `name`.
+
+    Accepts numbers and numeric text; an integer also accepts an integral
+    float.  Refuses what else a config file or flag can hold, such as 'abc',
+    true, or 2.7 for an integer.  Non-finite values pass; each setting checks
+    them where it is defined.
+    """
+    want = int if integer else float
+    try:
+        if isinstance(value, str) or (type(value) is int and not integer):
+            value = want(value)
+        elif type(value) is float and integer and value.is_integer():
+            value = int(value)
+    except (ValueError, OverflowError):  # OverflowError: an int past float range
+        pass
+    if type(value) is not want:
+        raise DataError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                        f"got {value!r}")
+    return value
+
+
+def _int_setting(resolved: dict, key: str) -> int:
+    return _number(resolved[key], key, integer=True)
+
+
+def _float_setting(resolved: dict, key: str) -> float:
+    return _number(resolved[key], key)
+
+
+def _pair_setting(resolved: dict, key: str) -> tuple[float, float]:
+    text = resolved[key]
     parts = str(text).split(":")
     if len(parts) != 2:
-        raise DataError(f"{name} must be lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise DataError(f"{key} must be lo:hi, got {text!r}")
+    return _number(parts[0], key), _number(parts[1], key)
 
 
-def _parse_responses(text):
-    s = str(text)
-    if ":" in s:
-        lo, hi = s.split(":", 1)
-        return (int(lo), int(hi))
-    return int(s)
+def _parse_responses(value):
+    if isinstance(value, str) and ":" in value:
+        lo, hi = value.split(":", 1)
+        return (_number(lo, "responses", integer=True), _number(hi, "responses", integer=True))
+    return _number(value, "responses", integer=True)
 
 
 def _parse_clock(text) -> tuple[str, float]:
@@ -72,15 +102,19 @@ def _parse_clock(text) -> tuple[str, float]:
     if s == "wall":
         return "wall", 1.0
     if s.startswith("wall:"):
-        return "wall", float(s[len("wall:"):])
+        return "wall", _number(s[len("wall:"):], "clock wall:<seconds_per_unit>")
     raise DataError(f"--clock must be 'step' or 'wall:<seconds_per_unit>', got {text!r}")
 
 
-def _parse_grid(value) -> list[float]:
+def _grid_setting(resolved: dict, key: str, default: float) -> list[float]:
+    """A hyperparameter grid: a list or comma-separated text, [default] when unset."""
+    value = resolved[key]
+    if value is None:
+        return [default]
     if isinstance(value, (list, tuple)):
-        vals = [float(x) for x in value]
+        vals = [_number(x, key) for x in value]
     else:
-        vals = [float(x) for x in str(value).split(",") if x.strip() != ""]
+        vals = [_number(x, key) for x in str(value).split(",") if x.strip() != ""]
     if not vals:
         raise DataError("empty hyperparameter grid")
     return vals
@@ -110,21 +144,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         resolved[key] = value
     resolved["config"] = getattr(args, "config", None)
     return resolved
-
-
-def _int_setting(resolved: dict, key: str) -> int:
-    """An integer setting; refuses what else a config file can hold, such as 2.7, .inf or true."""
-    value = resolved[key]
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise DataError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _require(resolved: dict, *keys: str) -> None:
@@ -218,10 +237,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     assignment, block_length = str(resolved["assignment"]), 10
     if assignment.startswith("blocks:"):
-        assignment, block_length = "blocks", int(assignment[len("blocks:"):])
+        assignment, block_length = "blocks", _number(
+            assignment[len("blocks:"):], "assignment blocks:<length>", integer=True)
     arrival, mean_gap = str(resolved["arrival"]), 1.0
     if arrival.startswith("exp:"):
-        arrival, mean_gap = "exponential", float(arrival[len("exp:"):])
+        arrival, mean_gap = "exponential", _number(arrival[len("exp:"):],
+                                                   "arrival exp:<mean_seconds>")
     elif arrival == "exp":
         arrival = "exponential"
 
@@ -231,12 +252,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         graph=graph,
         bank_spec=ItemBankSpec(
             items_per_concept=_int_setting(resolved, "items_per_concept"),
-            discrimination_range=_parse_pair(resolved["alpha_range"], "--alpha-range"),
-            difficulty_range=_parse_pair(resolved["beta_range"], "--beta-range"),
+            discrimination_range=_pair_setting(resolved, "alpha_range"),
+            difficulty_range=_pair_setting(resolved, "beta_range"),
         ),
-        true_temporal=TemporalConfig(float(resolved["nu2"]), clock, spu),
-        lam=float(resolved["lam"]),
-        gamma=float(resolved["gamma"]),
+        true_temporal=TemporalConfig(_float_setting(resolved, "nu2"), clock, spu),
+        lam=_float_setting(resolved, "lam"),
+        gamma=_float_setting(resolved, "gamma"),
         responses_per_student=_parse_responses(resolved["responses"]),
         assignment=assignment,
         block_length=block_length,
@@ -279,8 +300,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     data = _load_dataset(resolved)
     config = CalibrationConfig(
         max_outer_rounds=_int_setting(resolved, "max_rounds"),
-        convergence_delta=float(resolved["delta"]),
-        discrimination_floor=float(resolved["floor"]),
+        convergence_delta=_float_setting(resolved, "delta"),
+        discrimination_floor=_float_setting(resolved, "floor"),
     )
     concept_map = (
         _concept_map_from_file(resolved["concept_map"])
@@ -319,7 +340,7 @@ EVALUATE_DEFAULTS = {
 def _build_variants(resolved: dict) -> list[ModelVariant]:
     names = _models_list(resolved["model"])
     overrides = {
-        k: (None if resolved[k] is None else float(resolved[k]))
+        k: (None if resolved[k] is None else _float_setting(resolved, k))
         for k in ("nu2", "lam", "gamma")
     }
     return [ModelVariant.from_name(name, **overrides) for name in names]
@@ -333,7 +354,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     graph = load_graph(resolved["graph"]) if resolved["graph"] else None
     clock, spu = _parse_clock(resolved["clock"])
     solver = SolverConfig(
-        gradient_tolerance=float(resolved["solver_tolerance"]),
+        gradient_tolerance=_float_setting(resolved, "solver_tolerance"),
         max_iterations=_int_setting(resolved, "solver_max_iterations"),
     )
     variants = _build_variants(resolved)
@@ -372,17 +393,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if base == "spc":
         raise DataError("spc has no hyperparameters to sweep")
     default = ModelVariant.from_name(base)
-    nu2_grid = _parse_grid(resolved["nu2_grid"]) if resolved["nu2_grid"] is not None else [default.nu2]
-    lam_grid = _parse_grid(resolved["lambda_grid"]) if resolved["lambda_grid"] is not None else [default.lam]
-    gamma_grid = (_parse_grid(resolved["gamma_grid"])
-                  if resolved["gamma_grid"] is not None else [default.gamma])
+    nu2_grid = _grid_setting(resolved, "nu2_grid", default.nu2)
+    lam_grid = _grid_setting(resolved, "lambda_grid", default.lam)
+    gamma_grid = _grid_setting(resolved, "gamma_grid", default.gamma)
 
     data = _load_dataset(resolved)
     bank = ItemBank.load_csv(resolved["bank"])
     graph = load_graph(resolved["graph"]) if resolved["graph"] else None
     clock, spu = _parse_clock(resolved["clock"])
     solver = SolverConfig(
-        gradient_tolerance=float(resolved["solver_tolerance"]),
+        gradient_tolerance=_float_setting(resolved, "solver_tolerance"),
         max_iterations=_int_setting(resolved, "solver_max_iterations"),
     )
 
@@ -452,7 +472,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         )
 
     base = str(resolved["model"])
-    overrides = {k: (None if resolved[k] is None else float(resolved[k]))
+    overrides = {k: (None if resolved[k] is None else _float_setting(resolved, k))
                  for k in ("nu2", "lam", "gamma")}
     variant = ModelVariant.from_name(base, **overrides)
     item_names = (resolved["items"].split(",") if isinstance(resolved["items"], str)
@@ -478,7 +498,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     temporal = TemporalConfig(variant.nu2, clock, spu)
     times = temporal.event_time(np.arange(1.0, len(item) + 1), stamp)
     if resolved["now"] is not None:
-        now = float(resolved["now"])
+        now = _float_setting(resolved, "now")
     elif clock == "step":
         now = float(len(item) + 1)
     else:

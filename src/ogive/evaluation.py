@@ -365,9 +365,8 @@ def run_online_evaluation(
                 a_eff = effective_discriminations(alpha_pad[idx, hist], elapsed, model.nu2)
                 b = beta_pad[idx, hist]
                 r = correct_pad[idx, hist]
-                full = np.ones_like(r, dtype=bool)
                 th, conv, _ = batched_vector_map(
-                    theta[idx], a_eff, b, r, cidx_pad[idx, hist], full, precision,
+                    theta[idx], a_eff, b, r, cidx_pad[idx, hist], None, precision,
                     solver.gradient_tolerance, solver.max_iterations,
                 )
                 theta[idx] = th
@@ -376,9 +375,10 @@ def run_online_evaluation(
             z = alpha_pad[idx, col] * (th_ev - beta_pad[idx, col])
             probs[idx, col] = probit(z)
 
+    # the raw arrays live as long as the report: outcomes as int8, students as int32
     p_all = probs[mask]
-    y_all = correct_pad[mask].astype(int)
-    student_index = np.repeat(np.arange(n_students), lengths)
+    y_all = correct_pad[mask].astype(np.int8)
+    student_index = np.repeat(np.arange(n_students, dtype=np.int32), lengths)
 
     predicted = p_all >= 0.5
     accuracy = float((predicted == (y_all == 1)).mean())

@@ -5,14 +5,21 @@ precision P and mean m.  Scalar models are its one-concept case, P = [[2*lam]].
 `batched_vector_map` is the one solver: damped Newton with an Armijo
 backtracking line search, run in lockstep over S independent problems.  The
 objective is strictly concave whenever P is positive definite, so each
-maximizer is unique.  Every array operation is elementwise per row, so each
-student's iterates are bit-identical no matter which other students share the
-batch.  `estimate_history` is the one single-history core: it takes one
-history as the event columns the harness builds (discrimination,
-difficulty, outcome, clock time, coordinate) and is the same solver at
-S = 1, returning exactly its row.  `map_estimate_vector` only turns a list
-of `ResponseEvent`s into those columns.  Every padded layout the solver
-reads, in the harness and in calibration, comes from `padded_rows`.
+maximizer is unique.  A row retires from the lockstep solve as soon as it
+converges or its line search stalls, and every later kernel call, step and
+linear solve runs on the live rows only.  Every array operation is
+elementwise per row, so each student's iterates, iteration count and
+convergence flag are bit-identical no matter which other students share the
+batch or when they retire.  The one exception is a coupled prior solved as a
+batch of one from the start: numpy multiplies a lone row by P through BLAS
+gemv, whose sums round differently from a batch's gemm, so its iterates may
+differ from the batched ones in the last bits.  `estimate_history` is the
+one single-history core: it takes one history as the event columns the
+harness builds (discrimination, difficulty, outcome, clock time, coordinate)
+and is the same solver at S = 1, returning exactly its row.
+`map_estimate_vector` only turns a list of `ResponseEvent`s into those
+columns.  Every padded layout the solver reads, in the harness and in
+calibration, comes from `padded_rows`.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ def estimate_history(
     a_eff = effective_discriminations(alphas, elapsed, nu2)
     theta, converged, iterations = batched_vector_map(
         theta0, a_eff[None], betas[None], correct[None], concept_idx[None],
-        np.ones((1, len(alphas)), dtype=bool), precision,
+        None, precision,
         solver.gradient_tolerance, solver.max_iterations,
     )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
@@ -161,8 +168,9 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
 # -- the batched lockstep solver ----------------------------------------------
 #
 # Array contract: event arrays have shape (S, T) with a boolean mask of valid
-# cells; padded cells must carry a_eff == 0 so padding contributes zero
-# gradient and curvature, and the mask zeroes padded log-likelihood terms.
+# cells, or None when every cell is valid; padded cells must carry a_eff == 0
+# so padding contributes zero gradient and curvature, and the mask zeroes
+# padded log-likelihood terms.
 # `padded_rows` builds every such layout from flat per-event columns.
 
 
@@ -193,49 +201,77 @@ class StackedLogPosterior:
     terms of its valid events, event j reading coordinate concept_idx[s, j].
     Called at an (S, C) theta it returns the (S,) values, the (S, C)
     gradients and the (S, C) diagonal of the data curvature; the Hessian of
-    row s is diag(curvature_s) - P.  Index arrays are built once here, not
-    per call.  With one concept every event reads the only coordinate, so the
-    gather is a broadcast and the scatter a row sum, and concept_idx is not
-    read.
+    row s is diag(curvature_s) - P.  mask None means every cell is valid.
+    What is fixed for a whole solve is built once here, not per call: the
+    response signs folded into the discriminations (signed_a), their squares
+    and the scatter indices.  `keep` drops retired rows from every later call.
+    With one concept every event reads the only coordinate, so the gather is
+    a broadcast and the scatter a row sum, and concept_idx is not read.
     """
 
     def __init__(self, a_eff, beta, correct, concept_idx, mask, precision,
                  prior_mean: float = 0.0):
-        self.a_eff, self.beta, self.correct = a_eff, beta, correct
-        self.mask = None if mask.all() else mask  # the harness passes full rows
+        self.signed_a = np.where(correct > 0, a_eff, -a_eff)
         self.a_sq = a_eff * a_eff
+        self.beta = beta
+        self.pad = None if mask is None or mask.all() else ~mask
         self.precision = precision
         self.prior_mean = prior_mean
-        n_students, n_concepts = a_eff.shape[0], precision.shape[0]
-        self.one_concept = n_concepts == 1
+        self.one_concept = precision.shape[0] == 1
         if not self.one_concept:
             self.concept_idx = concept_idx
-            self.flat_idx = (np.arange(n_students)[:, None] * n_concepts + concept_idx).ravel()
-            self.shape = (n_students, n_concepts)
+            self._scatter_index()
+            # numpy multiplies a lone row by P through BLAS gemv, which rounds
+            # differently from the gemm that multiplies a batch; a batch keeps
+            # gemm's rounding when `keep` leaves it one row
+            self.batched = a_eff.shape[0] > 1
+
+    def _scatter_index(self):
+        n_students, n_concepts = self.beta.shape[0], self.precision.shape[0]
+        self.flat_idx = (np.arange(n_students)[:, None] * n_concepts + self.concept_idx).ravel()
+        self.shape = (n_students, n_concepts)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Restrict every later call to `rows`, in that order."""
+        self.signed_a, self.a_sq, self.beta = self.signed_a[rows], self.a_sq[rows], self.beta[rows]
+        if self.pad is not None:
+            pad = self.pad[rows]
+            self.pad = pad if pad.any() else None
+        if not self.one_concept:
+            self.concept_idx = self.concept_idx[rows]
+            self._scatter_index()
 
     def __call__(self, theta: np.ndarray):
         dev = theta - self.prior_mean
         if self.one_concept:
-            ll, d1, d2 = bernoulli_probit_terms(self.a_eff * (theta - self.beta), self.correct)
+            zs = theta - self.beta
+        else:
+            zs = np.take_along_axis(theta, self.concept_idx, axis=1)
+            zs -= self.beta
+        zs *= self.signed_a
+        ll, d1, d2 = bernoulli_probit_terms(zs)
+        d1 *= self.signed_a  # the gradient term: sign * a_eff * mills
+        d2 *= self.a_sq
+        if self.one_concept:
             p = self.precision[0, 0]
             value = -(0.5 * p) * dev[:, 0] ** 2
-            grad = -(dev * p) + (self.a_eff * d1).sum(axis=1, keepdims=True)
-            curv = (self.a_sq * d2).sum(axis=1, keepdims=True)
+            grad = -(dev * p) + d1.sum(axis=1, keepdims=True)
+            curv = d2.sum(axis=1, keepdims=True)
         else:
-            th_events = np.take_along_axis(theta, self.concept_idx, axis=1)
-            ll, d1, d2 = bernoulli_probit_terms(self.a_eff * (th_events - self.beta),
-                                                self.correct)
-            p_dev = dev @ self.precision
+            if self.batched and len(dev) == 1:
+                p_dev = (np.concatenate((dev, dev)) @ self.precision)[:1]
+            else:
+                p_dev = dev @ self.precision
             value = -0.5 * np.einsum("sc,sc->s", dev, p_dev)
             size = self.shape[0] * self.shape[1]
             grad = -p_dev + np.bincount(
-                self.flat_idx, weights=(self.a_eff * d1).ravel(), minlength=size
+                self.flat_idx, weights=d1.ravel(), minlength=size
             ).reshape(self.shape)
             curv = np.bincount(
-                self.flat_idx, weights=(self.a_sq * d2).ravel(), minlength=size
+                self.flat_idx, weights=d2.ravel(), minlength=size
             ).reshape(self.shape)
-        if self.mask is not None:
-            ll = np.where(self.mask, ll, 0.0)
+        if self.pad is not None:
+            ll[self.pad] = 0.0
         value += ll.sum(axis=1)
         return value, grad, curv
 
@@ -246,7 +282,7 @@ def batched_vector_map(
     beta: np.ndarray,
     correct: np.ndarray,
     concept_idx: np.ndarray,
-    mask: np.ndarray,
+    mask: Optional[np.ndarray],
     precision: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
@@ -255,11 +291,13 @@ def batched_vector_map(
     """Solve S independent MAP problems sharing one prior precision and mean.
 
     theta0 is (S, C); event arrays are (S, T); concept_idx holds the coordinate
-    each event reads (0 on padded cells, all 0 when C == 1).  A diagonal
-    precision takes the elementwise Newton step, a coupled one a batched
-    linear solve.  Convergence is declared per row when the max-abs gradient
-    entry drops to tol.  Returns (theta, converged, iterations) with shapes
-    (S, C), (S,) bool and (S,) int.
+    each event reads (0 on padded cells, all 0 when C == 1); mask None means
+    every cell is valid.  A diagonal precision takes the elementwise Newton
+    step, a coupled one a batched linear solve.  A row is done when its
+    max-abs gradient entry drops to tol (converged) or its line search finds
+    no acceptable step (stalled); done rows retire, and every later
+    evaluation, step and solve runs on the live rows only.  Returns (theta,
+    converged, iterations) with shapes (S, C), (S,) bool and (S,) int.
     """
     objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, mask,
                                     precision, prior_mean)
@@ -271,29 +309,42 @@ def batched_vector_map(
     diagonal = np.count_nonzero(precision) == n_concepts
     diag = np.arange(n_concepts)
 
+    theta_out = np.empty_like(theta)
     value, grad, curv = objective(theta)
+    live = np.arange(n_students)  # solve row of each live row
     iterations = np.zeros(n_students, dtype=np.int64)
-    stalled = np.zeros(n_students, dtype=bool)
+    converged = np.zeros(n_students, dtype=bool)
+
+    def retire(done):
+        nonlocal live, theta, value, grad, curv
+        theta_out[live[done]] = theta[done]
+        rows = np.flatnonzero(~done)
+        live, theta, value = live[rows], theta[rows], value[rows]
+        grad, curv = grad[rows], curv[rows]
+        if len(rows):
+            objective.keep(rows)
+
     for _ in range(max_iter):
-        active = (np.abs(grad).max(axis=1) > tol) & ~stalled
-        if not active.any():
-            break
-        iterations += active
+        grad_max = np.abs(grad).max(axis=1)
+        active = grad_max > tol
+        if not active.all():
+            converged[live[~active]] = grad_max[~active] <= tol
+            retire(~active)
+            if not len(live):
+                break
+        iterations[live] += 1
         # -H = P - diag(curv); curvature terms are <= 0 so -H is positive definite
         if diagonal:
             direction = grad / (p_diag - curv)
         else:
-            neg_hess = np.broadcast_to(precision, (n_students, n_concepts, n_concepts)).copy()
+            neg_hess = np.broadcast_to(precision, (len(live), n_concepts, n_concepts)).copy()
             neg_hess[:, diag, diag] -= curv
             direction = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
-        direction[~active] = 0.0
         slope = np.einsum("sc,sc->s", grad, direction)
         slack = ARMIJO_SLACK * (1.0 + np.abs(value))
-        step = np.ones(n_students)
-        need = active.copy()
+        step = np.ones(len(live))
+        need = np.ones(len(live), dtype=bool)
         for _ in range(MAX_BACKTRACKS):
-            if not need.any():
-                break
             # rows that no longer need a step are evaluated but never taken
             cand = theta + step[:, None] * direction
             v2, g2, c2 = objective(cand)
@@ -304,7 +355,14 @@ def batched_vector_map(
             np.copyto(curv, c2, where=take)
             value = np.where(ok, v2, value)
             need &= ~ok
+            if not need.any():
+                break
             step = np.where(need, 0.5 * step, step)
-        stalled |= need
-    converged = np.abs(grad).max(axis=1) <= tol
-    return theta, converged, iterations
+        if need.any():  # stalled: no step of the search was accepted
+            retire(need)
+            if not len(live):
+                break
+    if len(live):
+        converged[live] = np.abs(grad).max(axis=1) <= tol
+        theta_out[live] = theta
+    return theta_out, converged, iterations

@@ -6,8 +6,11 @@ with Phi the standard normal CDF.  Older responses enter the posterior over
 the current proficiency through an attenuated "effective discrimination"
 alpha / sqrt(1 + alpha^2 * nu2 * elapsed), where nu2 is the per-unit drift
 variance of the proficiency random walk.  `bernoulli_probit_terms` is the one
-likelihood kernel; the log-posterior built on it, and its solver, live in
-`inference`.
+likelihood kernel.  It takes the signed argument zs = +-alpha*(theta-beta),
+the sign being the response's, so that every response's likelihood is
+Phi(zs), and returns (ll, mills, d2); callers fold the sign into the
+discrimination once per solve.  The log-posterior built on it, and its
+solver, live in `inference`.
 """
 
 from __future__ import annotations
@@ -159,30 +162,39 @@ def _tail_mills(zs: np.ndarray):
     return mills, d2
 
 
-def bernoulli_probit_terms(z: np.ndarray, correct: np.ndarray):
-    """Per-response log-likelihood terms and derivatives in z = alpha*(theta-beta).
+def bernoulli_probit_terms(zs: np.ndarray):
+    """Per-response log-likelihood terms in the signed argument zs, with two derivatives.
 
-    Returns (ll, d1, d2) where ll = r*log(p) + (1-r)*log(1-p) with p = Phi(z),
-    and d1, d2 are its first and second derivatives with respect to z.
-    Evaluated through log_ndtr and the inverse Mills ratio so value stays
-    consistent with derivatives; past |z| = 40 the ratio comes from its
-    asymptotic series, so -1 <= d2 <= 0 holds for every z and infinite z
-    gives the limits (ll and d1 infinite on the losing side, d2 = -1 there).
+    A response r at z = alpha*(theta-beta) has zs = z when r = 1 and -z when
+    r = 0, so its likelihood is Phi(zs) either way.  Callers fold that sign
+    into the discrimination once per solve (signed_a = +-a_eff, zs = signed_a
+    * (theta - beta)).  Returns (ll, mills, d2): ll = log Phi(zs), mills the
+    inverse Mills ratio R(zs) = phi(zs) / Phi(zs), and d2 = -R(zs)*(zs + R(zs))
+    the second derivative of ll in z.  The first derivative in z is sign *
+    mills, so d ll / d theta = signed_a * mills.  Evaluated through log_ndtr and
+    R in log space so value stays consistent with derivatives; past |zs| = 40
+    R comes from its asymptotic series, so -1 <= d2 <= 0 holds for every zs
+    and infinite zs gives the limits (ll -inf and mills inf on the losing
+    side, d2 = -1 there).  Mills and d2 are built in place, with no
+    temporaries beyond the three outputs.
     """
-    sign = np.where(correct > 0, 1.0, -1.0)
-    zs = sign * z
-    log_p = log_ndtr(zs)
-    ll = log_p
+    ll = log_ndtr(zs)
+    log_p = ll
     tail = None
     if np.abs(zs).max(initial=0.0) > _TAIL_Z:
         tail = np.abs(zs) > _TAIL_Z
         zs_tail = zs[tail]
         zs = np.where(tail, 0.0, zs)
-        log_p = np.where(tail, 0.0, log_p)
-    # inverse Mills ratio R(zs) = phi(zs) / Phi(zs), computed in log space
-    mills = np.exp(-0.5 * zs * zs - _LOG_SQRT_2PI - log_p)
-    d2 = -mills * (zs + mills)
+        log_p = np.where(tail, 0.0, ll)
+    # R(zs) = exp(-zs^2/2 - log sqrt(2 pi) - log Phi(zs))
+    mills = np.multiply(zs, -0.5)
+    mills *= zs
+    mills -= _LOG_SQRT_2PI
+    mills -= log_p
+    np.exp(mills, out=mills)
+    d2 = np.add(zs, mills)
+    d2 *= mills
+    np.negative(d2, out=d2)
     if tail is not None:
         mills[tail], d2[tail] = _tail_mills(zs_tail)
-    d1 = sign * mills
-    return ll, d1, d2
+    return ll, mills, d2

@@ -4,7 +4,9 @@ Each objective is written straight from the model, one history of
 `ResponseEvent`s at a time, and returns value, gradient and curvature (or
 Hessian).  Both are concave.  The checks C2/C3 probe them by finite
 differences and eigenvalues, and the solver tests check that the batched
-solve lands on their maximizer.
+solve lands on their maximizer.  `unsigned_probit_terms` is the kernel as it
+was written before the response sign moved out of it, kept as the bit-for-bit
+oracle of the signed kernel.
 """
 
 from __future__ import annotations
@@ -12,14 +14,50 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from ogive.concept_graph import StructuredPrior
 from ogive.irt_core import (
+    _LOG_SQRT_2PI,
+    _TAIL_Z,
     ResponseEvent,
     TemporalConfig,
+    _tail_mills,
     bernoulli_probit_terms,
     effective_discriminations,
 )
+
+
+def unsigned_probit_terms(z: np.ndarray, correct: np.ndarray):
+    """(ll, d1, d2) of responses `correct` in z = alpha*(theta-beta), sign applied inside.
+
+    d1 and d2 are the derivatives of ll in z.  Written with fresh temporaries
+    throughout; `bernoulli_probit_terms(sign * z)` must return ll, sign * d1
+    and d2 bit for bit.
+    """
+    sign = np.where(correct > 0, 1.0, -1.0)
+    zs = sign * z
+    log_p = log_ndtr(zs)
+    ll = log_p
+    tail = None
+    if np.abs(zs).max(initial=0.0) > _TAIL_Z:
+        tail = np.abs(zs) > _TAIL_Z
+        zs_tail = zs[tail]
+        zs = np.where(tail, 0.0, zs)
+        log_p = np.where(tail, 0.0, log_p)
+    mills = np.exp(-0.5 * zs * zs - _LOG_SQRT_2PI - log_p)
+    d2 = -mills * (zs + mills)
+    if tail is not None:
+        mills[tail], d2[tail] = _tail_mills(zs_tail)
+    d1 = sign * mills
+    return ll, d1, d2
+
+
+def signed_terms(z: np.ndarray, correct: np.ndarray):
+    """(ll, d1, d2) in z through the signed kernel: the sign goes in and back out."""
+    sign = np.where(correct > 0, 1.0, -1.0)
+    ll, mills, d2 = bernoulli_probit_terms(sign * z)
+    return ll, sign * mills, d2
 
 
 class ScalarObjectiveValue(NamedTuple):
@@ -77,7 +115,7 @@ def approx_log_posterior_scalar(theta: float, history: Sequence[ResponseEvent],
     alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
     a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
     z = a_eff * (theta - betas)
-    ll, d1, d2 = bernoulli_probit_terms(z, correct)
+    ll, d1, d2 = signed_terms(z, correct)
     dev = theta - mean
     value = -lam * dev * dev + float(ll.sum())
     grad = -2.0 * lam * dev + float((a_eff * d1).sum())
@@ -106,7 +144,7 @@ def approx_log_posterior_vector(theta_vec: np.ndarray,
     alphas, betas, correct, elapsed = _history_arrays(history, now, temporal)
     a_eff = effective_discriminations(alphas, elapsed, temporal.drift_variance)
     z = a_eff * (theta_vec[concept_idx] - betas)
-    ll, d1, d2 = bernoulli_probit_terms(z, correct)
+    ll, d1, d2 = signed_terms(z, correct)
 
     p_value, p_grad = prior.value_and_grad(theta_vec)
     value = p_value + float(ll.sum())

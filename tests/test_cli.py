@@ -6,10 +6,18 @@ one-point sweep must agree with evaluate; predict on a history prefix must
 reproduce the streaming harness's next-event probability.
 """
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ogive import cli
 from ogive.calibration import ItemBank
@@ -175,6 +183,112 @@ def test_non_integral_config_setting_is_a_user_error(sim_dir, tmp_path, capsys, 
     assert f"{key} must be an integer" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("simulate", "responses: 2.7", "responses must be an integer, got 2.7"),
+    ("simulate", "lam: abc", "lam must be a number, got 'abc'"),
+    ("simulate", "arrival: exp:abc", "arrival exp:<mean_seconds> must be a number"),
+    ("simulate", "assignment: blocks:2.5", "assignment blocks:<length> must be an integer"),
+    ("simulate", "beta_range: -2:abc", "beta_range must be a number, got 'abc'"),
+    ("calibrate", "delta: abc", "delta must be a number, got 'abc'"),
+    ("calibrate", "floor: true", "floor must be a number, got True"),
+    ("calibrate", "delta: 1" + "0" * 400, "delta must be a number, got 1000"),
+    ("evaluate", "lam: abc", "lam must be a number, got 'abc'"),
+    ("evaluate", "clock: wall:abc", "clock wall:<seconds_per_unit> must be a number"),
+    ("sweep", "nu2_grid: 0.1,abc", "nu2_grid must be a number, got 'abc'"),
+    ("sweep", "solver_tolerance: abc", "solver_tolerance must be a number, got 'abc'"),
+    ("predict", "now: abc", "now must be a number, got 'abc'"),
+])
+def test_non_numeric_config_setting_names_its_key(sim_dir, tmp_path, capsys, command,
+                                                  setting, message):
+    data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    inputs = {
+        "simulate": ["--students", "2", "--out", str(out)],
+        "calibrate": ["--data", data, "--out", str(out)],
+        "evaluate": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
+        "sweep": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
+        "predict": ["--history", data, "--student", "s0001", "--bank", bank,
+                    "--model", "static_2po", "--items", "q0001", "--out", str(out)],
+    }[command]
+    assert run_cli(command, *inputs, "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_responses_flag_names_its_setting(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--responses", "2.7", "--out", str(out)) == 2
+    assert "responses must be an integer, got '2.7'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def toy_dir(tmp_path_factory):
+    """A cohort small enough to run every subcommand once per fuzzed setting."""
+    out = tmp_path_factory.mktemp("toy") / "sim"
+    assert run_cli("simulate", "--seed", "3", "--students", "3", "--concepts", "2",
+                   "--items-per-concept", "2", "--responses", "6", "--out", str(out)) == 0
+    return out
+
+
+# each subcommand's numeric config keys, with a base config that keeps runs tiny
+FUZZED_KEYS = {
+    "simulate": ("seed", "students", "concepts", "items_per_concept", "responses",
+                 "alpha_range", "beta_range", "nu2", "lam", "gamma", "clock",
+                 "assignment", "arrival"),
+    "calibrate": ("max_rounds", "delta", "floor", "min_responses", "max_attempts"),
+    "evaluate": ("nu2", "lam", "gamma", "clock", "buckets", "solver_tolerance",
+                 "solver_max_iterations", "min_responses", "max_attempts"),
+    "sweep": ("nu2_grid", "lambda_grid", "gamma_grid", "clock", "solver_tolerance",
+              "solver_max_iterations", "min_responses", "max_attempts"),
+    "predict": ("nu2", "lam", "gamma", "clock", "now"),
+}
+FUZZED_SETTINGS = [(command, key) for command, keys in FUZZED_KEYS.items() for key in keys]
+NOT_A_SETTING = st.one_of(
+    # no digits, so no text parses as a large count
+    st.text(alphabet="abcdefilnptwxy:,.-+ ", max_size=8),
+    st.sampled_from(["wall:", "exp:", "blocks:", "1:", ":2", "1:2:3", "0x10", "1e400"]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    st.booleans(),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@given(setting=st.sampled_from(FUZZED_SETTINGS), value=NOT_A_SETTING)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_numeric_setting_exits_cleanly(toy_dir, setting, value):
+    command, key = setting
+    data, bank = str(toy_dir / "interactions.csv"), str(toy_dir / "true_bank.csv")
+    graph = str(toy_dir / "graph.txt")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out")
+        base, flags = {
+            "simulate": ({"students": 2, "concepts": 2, "items_per_concept": 2,
+                          "responses": 4}, ["--out", out]),
+            "calibrate": ({"max_rounds": 3}, ["--data", data, "--out", out]),
+            "evaluate": ({"model": ["static_2po", "tskirt"]},
+                         ["--data", data, "--bank", bank, "--graph", graph, "--out", out]),
+            "sweep": ({"model": "tskirt"},
+                      ["--data", data, "--bank", bank, "--graph", graph, "--out", out]),
+            "predict": ({"items": "q0001"},
+                        ["--history", data, "--student", "s0001", "--bank", bank,
+                         "--graph", graph, "--out", out]),
+        }[command]
+        cfg = Path(tmp) / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({**base, key: value}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(command, *flags, "--config", str(cfg))
+    assert code in (0, 2), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue() + stdout.getvalue()
+    if code == 2:
+        assert stderr.getvalue().startswith("error: ")
 
 
 @pytest.mark.parametrize("flag", ["--nu2", "--lambda", "--gamma"])

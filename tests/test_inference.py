@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from ogive import inference
 from ogive.concept_graph import ConceptGraph, build_prior, chain_graph
 from ogive.inference import (
     DEFAULT_SOLVER,
@@ -436,3 +437,112 @@ def test_batched_vector_warm_start_lands_on_same_optimum():
         history = _vector_history(s, a, beta, correct, cidx, mask, graph.concepts)
         _, grad = vector_reference(history, float(t + 1), STATIC, prior)(warm[s])
         assert np.max(np.abs(grad)) <= 1e-6
+
+
+def _diamond_graph():
+    """a -> b, a -> c, b -> d, c -> d: the smallest skeleton with a cycle."""
+    return ConceptGraph(("a", "b", "c", "d"),
+                        (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
+
+
+RETIREMENT_PRIORS = {
+    "one_concept": np.array([[1.6]]),
+    "diagonal": build_prior(chain_graph(3), lam=0.8, gamma=0.0).precision,
+    "chain": build_prior(chain_graph(5), lam=0.6, gamma=0.7).precision,
+    "diamond": build_prior(_diamond_graph(), lam=0.9, gamma=0.5).precision,
+}
+
+
+def _ragged_batch(rng, n_concepts, n_students=24, max_events=30):
+    """Ragged rows with signed a_eff, as calibration's item blocks have them."""
+    a, beta, correct, mask, _ = _random_padded_problems(rng, n_students, max_events)
+    a *= np.where(rng.random(a.shape) < 0.2, -1.0, 1.0)
+    cidx = np.where(mask, rng.integers(0, n_concepts, size=a.shape), 0)
+    theta0 = rng.normal(scale=2.0, size=(n_students, n_concepts))
+    return theta0, a, beta, correct, cidx, mask
+
+
+def _assert_rows_equal_single_solves(theta0, a, beta, correct, cidx, mask, precision, **kw):
+    """Each row of the batched solve equals the solve of that row alone, bit for bit.
+
+    Under a coupled prior "alone" is the row twice over: numpy multiplies a
+    lone row by P through BLAS gemv, whose sums round differently from the
+    gemm of a batch, so a one-row solve differs from any batch in the last
+    bits.  The pair never splits, both copies retiring together.
+    """
+    batch = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision, **kw)
+    copies = 1 if np.count_nonzero(precision) == len(precision) else 2
+    for s in range(len(theta0)):
+        rows = [s] * copies
+        alone = batched_vector_map(theta0[rows], a[rows], beta[rows], correct[rows],
+                                   cidx[rows], None if mask is None else mask[rows],
+                                   precision, **kw)
+        for got, want in zip(batch, alone):
+            np.testing.assert_array_equal(got[s], want[0])
+    return batch
+
+
+@pytest.mark.parametrize("prior", sorted(RETIREMENT_PRIORS))
+def test_retiring_rows_leaves_every_row_bit_identical(prior):
+    # rows converge after different iteration counts and leave the lockstep
+    # solve one by one; each must still equal its own solve alone
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(31)
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(rng, len(precision))
+    theta, converged, iterations = _assert_rows_equal_single_solves(
+        theta0, a, beta, correct, cidx, mask, precision, prior_mean=0.25)
+    assert converged.all()
+    assert len(np.unique(iterations)) > 1
+    full = np.ones(mask.shape, dtype=bool)
+    _assert_rows_equal_single_solves(theta0, np.where(mask, a, 0.3), beta, correct, cidx,
+                                     None, precision)
+    assert np.array_equal(
+        batched_vector_map(theta0, np.where(mask, a, 0.3), beta, correct, cidx, None,
+                           precision)[0],
+        batched_vector_map(theta0, np.where(mask, a, 0.3), beta, correct, cidx, full,
+                           precision)[0],
+    )
+
+
+@pytest.mark.parametrize("prior", sorted(RETIREMENT_PRIORS))
+def test_last_live_row_keeps_its_state_while_others_retire(prior):
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(32)
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(rng, len(precision), n_students=8)
+    # warm-start every row at its optimum but row 2, which starts far out and
+    # goes on alone once the others have retired
+    theta0 = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision)[0]
+    theta0[2] = 25.0
+    mask[2, :5], a[2, :5] = True, 1.0
+    others = np.arange(8) != 2
+    _, converged, iterations = _assert_rows_equal_single_solves(
+        theta0, a, beta, correct, cidx, mask, precision, max_iter=3)
+    assert not converged[2] and iterations[2] == 3
+    assert converged[others].all() and iterations[others].max() <= 1
+    _, converged, iterations = _assert_rows_equal_single_solves(
+        theta0, a, beta, correct, cidx, mask, precision)
+    assert converged.all() and iterations[2] >= 4
+
+
+def test_kernel_sees_only_the_live_rows(monkeypatch):
+    rng = np.random.default_rng(33)
+    precision = RETIREMENT_PRIORS["chain"]
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(rng, len(precision), n_students=6)
+    solved = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision)[0]
+    theta0[0] = solved[0]  # row 0 is converged before the first step
+    kernel = inference.bernoulli_probit_terms
+    cells = []
+
+    def counting(zs):
+        cells.append(zs.size)
+        return kernel(zs)
+
+    monkeypatch.setattr(inference, "bernoulli_probit_terms", counting)
+    theta, converged, iterations = batched_vector_map(theta0, a, beta, correct, cidx, mask,
+                                                      precision)
+    assert converged.all() and iterations[0] == 0
+    width = a.shape[1]
+    assert cells[0] == 6 * width
+    assert all(n <= 5 * width for n in cells[1:])
+    # every later retirement shrinks the batch further, until one row is left
+    assert cells == sorted(cells, reverse=True) and cells[-1] == width

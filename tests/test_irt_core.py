@@ -21,7 +21,11 @@ from ogive.irt_core import (
 )
 from ogive.concept_graph import build_prior, chain_graph
 from ogive.inference import ProficiencyEstimate, predict_next
-from reference_objectives import approx_log_posterior_scalar, approx_log_posterior_vector
+from reference_objectives import (
+    approx_log_posterior_scalar,
+    approx_log_posterior_vector,
+    unsigned_probit_terms,
+)
 
 # frozen 30-digit standard normal CDF values, computed independently with
 # mpmath.erfc at 50-digit working precision
@@ -175,7 +179,7 @@ def test_bernoulli_probit_terms_match_naive_log():
     z = np.linspace(-5, 5, 41)
     for correct in (0, 1):
         r = np.full_like(z, correct)
-        ll, d1, d2 = bernoulli_probit_terms(z, r)
+        ll, _, d2 = bernoulli_probit_terms(z if correct else -z)
         p = probit(z)
         naive = np.where(r == 1, np.log(p), np.log1p(-p))
         np.testing.assert_allclose(ll, naive, rtol=1e-10, atol=1e-12)
@@ -184,15 +188,15 @@ def test_bernoulli_probit_terms_match_naive_log():
 
 def test_bernoulli_probit_terms_extreme_arguments_stay_finite():
     z = np.array([-3000.0, -50.0, 50.0, 3000.0])
-    for correct in (0, 1):
-        ll, d1, d2 = bernoulli_probit_terms(z, np.full_like(z, correct))
+    for sign in (-1.0, 1.0):
+        ll, mills, d2 = bernoulli_probit_terms(sign * z)
         assert np.all(np.isfinite(ll))
-        assert np.all(np.isfinite(d1))
+        assert np.all(np.isfinite(mills))
         assert np.all(np.isfinite(d2))
         # concave everywhere; on the satisfied side the curvature underflows
         # to -0.0, so only the sign is guaranteed at extremes
         assert np.all(d2 <= 0.0)
-    ll, d1, d2 = bernoulli_probit_terms(np.array([-3.0, 0.0, 3.0]), np.ones(3))
+    ll, mills, d2 = bernoulli_probit_terms(np.array([-3.0, 0.0, 3.0]))
     assert np.all(d2 < 0.0)
 
 
@@ -228,36 +232,64 @@ def test_bernoulli_probit_terms_tails_match_mpmath():
     zs = np.concatenate([-mag, [0.0], mag, [-np.inf, np.inf]])
     with mp.workdps(20):
         expected = np.array([_probit_terms_oracle(v) for v in zs])
-    for correct in (0, 1):
-        sign = 1.0 if correct else -1.0
-        with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
-                                                    invalid="warn"):
-            warnings.simplefilter("error", RuntimeWarning)
-            ll, d1, d2 = bernoulli_probit_terms(sign * zs, np.full(zs.shape, correct))
-        # below the switch the log-space ratio keeps its cancellation error,
-        # about eps*z^2/2 in d1 and eps*z^4/2 in d2 (2e-10 at |z| = 40)
-        for got, want, rtol in ((ll, expected[:, 0], 1e-13),
-                                (sign * d1, expected[:, 1], 1e-12),
-                                (d2, expected[:, 2], 1e-9)):
-            np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-300)
-        assert np.all((d2 >= -1.0) & (d2 <= 0.0))
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        ll, mills, d2 = bernoulli_probit_terms(zs)
+    # below the switch the log-space ratio keeps its cancellation error,
+    # about eps*z^2/2 in mills and eps*z^4/2 in d2 (2e-10 at |z| = 40)
+    for got, want, rtol in ((ll, expected[:, 0], 1e-13),
+                            (mills, expected[:, 1], 1e-12),
+                            (d2, expected[:, 2], 1e-9)):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-300)
+    assert np.all((d2 >= -1.0) & (d2 <= 0.0))
     dense = np.linspace(-1e3, 1e3, 200_001)
-    for correct in (0, 1):
-        _, _, d2 = bernoulli_probit_terms(dense, np.full(dense.shape, correct))
-        assert np.all((d2 >= -1.0) & (d2 <= 0.0))
+    _, _, d2 = bernoulli_probit_terms(dense)
+    assert np.all((d2 >= -1.0) & (d2 <= 0.0))
 
 
 @given(st.floats(-200, 200), st.integers(0, 1))
 @settings(max_examples=200)
 def test_bernoulli_probit_terms_derivatives_match_fd(z, correct):
+    # derivatives in z = sign * zs: d1 = sign * mills, and d2 is sign-free
+    sign = 1.0 if correct else -1.0
     h = 1e-6 * max(1.0, abs(z))
     za = np.array([z - h, z, z + h])
-    r = np.full(3, correct)
-    ll, d1, d2 = bernoulli_probit_terms(za, r)
+    ll, mills, d2 = bernoulli_probit_terms(sign * za)
+    d1 = sign * mills
     fd1 = (ll[2] - ll[0]) / (2 * h)
     fd2 = (d1[2] - d1[0]) / (2 * h)
     assert d1[1] == pytest.approx(fd1, rel=1e-4, abs=1e-7)
     assert d2[1] == pytest.approx(fd2, rel=1e-3, abs=1e-5)
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_signed_kernel_matches_unsigned_formula_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    # ordinary cells, cells around and past the tail switch at |zs| = 40,
+    # signed zeros and the infinities
+    z = np.concatenate([
+        rng.normal(scale=3.0, size=5000),
+        rng.uniform(-45.0, 45.0, size=2000),
+        np.sign(rng.normal(size=500)) * 10.0 ** rng.uniform(1.0, 300.0, size=500),
+        [0.0, -0.0, 39.999, -39.999, 40.0, -40.0, 40.001, -40.001, np.inf, -np.inf],
+    ])
+    correct = rng.integers(0, 2, size=z.size).astype(float)
+    sign = np.where(correct > 0, 1.0, -1.0)
+    ll, mills, d2 = bernoulli_probit_terms(sign * z)
+    want_ll, want_d1, want_d2 = unsigned_probit_terms(z, correct)
+    _assert_same_bits(ll, want_ll)
+    _assert_same_bits(sign * mills, want_d1)
+    _assert_same_bits(d2, want_d2)
+    # a batch without tail cells takes the kernel's other branch
+    inner = np.abs(z) <= 40.0
+    ll, mills, d2 = bernoulli_probit_terms(sign[inner] * z[inner])
+    want_ll, want_d1, want_d2 = unsigned_probit_terms(z[inner], correct[inner])
+    _assert_same_bits(ll, want_ll)
+    _assert_same_bits(sign[inner] * mills, want_d1)
+    _assert_same_bits(d2, want_d2)
 
 
 def _history(events):
