@@ -1,16 +1,17 @@
 """Command-line entry point: simulate, calibrate, evaluate, sweep, predict.
 
-Option precedence: command-line flags override config-file values, which
-override built-in defaults.  The config file is a YAML mapping whose keys are
-the long option names with dashes as underscores (e.g. `min_responses: 5`).
-Defaults live in the per-command `*_DEFAULTS` tables, not in argparse:
-`--model` appends, so argparse defaults taken from a config file would make
-`--model tskirt` extend the file's model list instead of replacing it.
-Settings are checked where the library defines them (`ModelVariant`,
-`TemporalConfig`, `CalibrationConfig`, ...); their errors exit 2.
-Every output artifact embeds the fully resolved run configuration and a
-format version; nothing in any output depends on the wall clock, so identical
-inputs and seeds produce byte-identical outputs.
+Each subcommand declares every setting once, in a table mapping its key to
+`(default, kind, help)`.  The key is the config-file key and, with dashes, the
+flag (only `lam` is `--lambda`); flags take no prefixes.  Kinds: int and float
+parse through `_number`, bool is a switch (the flag, or true/false in a file),
+str is text the command parses, and a tuple or list gives the flag's choices (a
+list flag repeats).  A REQUIRED setting must be given; a None default is unset.
+Precedence: flags override the YAML config file, which overrides the table.
+Flag and file values parse the same way, and numeric defaults come from the
+library classes that check them (`ModelVariant`, `CalibrationConfig`, ...);
+their errors exit 2.  Every output artifact embeds the resolved settings, in
+table order, and a format version; nothing in any output depends on the wall
+clock, so identical inputs and seeds produce byte-identical outputs.
 
 Exit codes: 0 success, 1 internal error, 2 user or input error.
 """
@@ -72,14 +73,6 @@ def _number(value, name: str, integer: bool = False):
     return value
 
 
-def _int_setting(resolved: dict, key: str) -> int:
-    return _number(resolved[key], key, integer=True)
-
-
-def _float_setting(resolved: dict, key: str) -> float:
-    return _number(resolved[key], key)
-
-
 def _pair_setting(resolved: dict, key: str) -> tuple[float, float]:
     text = resolved[key]
     parts = str(text).split(":")
@@ -120,42 +113,40 @@ def _grid_setting(resolved: dict, key: str, default: float) -> list[float]:
     return vals
 
 
-def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = yaml.safe_load(fh)
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: config file must be a mapping")
-    return obj
+def _flag(key: str) -> str:
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flags > config file > defaults into one plain dict."""
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(cfg) - set(defaults))
+def _resolve(args: argparse.Namespace, settings: dict) -> dict:
+    """The run configuration: the command, then flags > config file > defaults.
+
+    A flag and a config key reach a setting through the same parse, so the
+    artifacts record the value the run used in either case.
+    """
+    cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
+        cfg = {} if cfg is None else cfg
+        if not isinstance(cfg, dict):
+            raise DataError(f"{args.config}: config file must be a mapping")
+    unknown = sorted(str(key) for key in cfg if key not in settings)
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
+    resolved = {"command": args.command, "version": __version__}
+    for key, (default, kind, _) in settings.items():
+        value = getattr(args, key)
         if value is None:
-            value = cfg[key] if key in cfg else default
+            value = cfg.get(key, default)
+        if default is REQUIRED and (value is None or value is REQUIRED):
+            raise DataError(f"{_flag(key)} is required")
+        if kind is bool and type(value) is not bool:
+            raise DataError(f"{key} must be true or false, got {value!r}")
+        if kind in (int, float) and not (value is None and default is None):
+            value = _number(value, key, integer=kind is int)
         resolved[key] = value
-    resolved["config"] = getattr(args, "config", None)
+    resolved["config"] = args.config
     return resolved
-
-
-def _require(resolved: dict, *keys: str) -> None:
-    for key in keys:
-        if resolved[key] is None:
-            raise DataError(f"--{key.replace('_', '-')} is required")
-
-
-def _run_config(command: str, resolved: dict) -> dict:
-    out = {"command": command, "version": __version__}
-    out.update({k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()})
-    return out
 
 
 def _write_json(path, payload: dict) -> None:
@@ -166,7 +157,7 @@ def _write_json(path, payload: dict) -> None:
 
 def _load_dataset(resolved: dict) -> Dataset:
     data = load_interactions(
-        resolved["data"], format=resolved["format"], strict=bool(resolved["strict"])
+        resolved["data"], format=resolved["format"], strict=resolved["strict"]
     )
     if data.parse_errors:
         for lineno, reason in data.parse_errors[:5]:
@@ -177,19 +168,28 @@ def _load_dataset(resolved: dict) -> Dataset:
     if not resolved["no_preprocess"]:
         data = preprocess(
             data,
-            min_responses=_int_setting(resolved, "min_responses"),
-            max_attempts_per_item=_int_setting(resolved, "max_attempts"),
+            min_responses=resolved["min_responses"],
+            max_attempts_per_item=resolved["max_attempts"],
         )
     return data
 
 
-def _models_list(value) -> list[str]:
-    if value is None:
-        return ["tskirt"]
-    names = [value] if isinstance(value, str) else list(value)
-    if len(set(names)) != len(names):
-        raise DataError("duplicate model names")
-    return names
+def _load_run_inputs(resolved: dict) -> tuple[Dataset, ItemBank, dict]:
+    """The data, bank and `run_online_evaluation` options that evaluate and sweep share."""
+    data = _load_dataset(resolved)
+    bank = ItemBank.load_csv(resolved["bank"])
+    graph = load_graph(resolved["graph"]) if resolved["graph"] else None
+    clock, spu = _parse_clock(resolved["clock"])
+    solver = SolverConfig(gradient_tolerance=resolved["solver_tolerance"],
+                          max_iterations=resolved["solver_max_iterations"])
+    return data, bank, {"prior_graph": graph, "solver": solver, "clock": clock,
+                        "seconds_per_unit": spu}
+
+
+def _variant(name, resolved: dict) -> ModelVariant:
+    """Model `name` with the run's nu2, lam and gamma where they are set."""
+    return ModelVariant.from_name(str(name), nu2=resolved["nu2"], lam=resolved["lam"],
+                                  gamma=resolved["gamma"])
 
 
 def _concept_map_from_file(path) -> dict[str, str]:
@@ -214,25 +214,63 @@ def _concept_map_from_file(path) -> dict[str, str]:
     return mapping
 
 
-# -- subcommands --------------------------------------------------------------
+# -- settings shared by several tables -----------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "seed": 0, "students": 100, "concepts": 10, "graph": None,
-    "items_per_concept": 10, "responses": "100",
-    "alpha_range": "0.5:2.0", "beta_range": "-2.0:2.0",
-    "nu2": 0.0, "lam": 1.0, "gamma": 0.0, "clock": "step",
-    "assignment": "uniform", "coupling": "independent", "arrival": "unit",
-    "format": "csv", "out": None,
+REQUIRED = object()
+
+_BANK = (REQUIRED, str, "item bank CSV")
+_GRAPH = (None, str, "concept graph file")
+_CLOCK = ("step", str, "'step' or 'wall:<seconds_per_unit>'")
+_INPUT = {
+    "format": ("csv", ("csv", "jsonl"), "interaction file format"),
+    "strict": (False, bool, "fail on malformed rows instead of skipping them"),
+}
+_PREPROCESSING = {
+    "no_preprocess": (False, bool, "skip attempt capping and the minimum-response filter"),
+    "min_responses": (5, int, "drop students with fewer retained responses"),
+    "max_attempts": (4, int, "keep only the most recent attempts per student/item pair"),
+}
+_SOLVER = {
+    "solver_tolerance": (SolverConfig.gradient_tolerance, float,
+                         "Newton stopping tolerance on the gradient"),
+    "solver_max_iterations": (SolverConfig.max_iterations, int, "Newton iteration cap"),
+}
+_HYPERPARAMETERS = {
+    "nu2": (None, float, "drift variance per clock unit (the model's own when unset)"),
+    "lam": (None, float, "prior precision weight on each proficiency (likewise)"),
+    "gamma": (None, float, "prerequisite coupling weight of vector models (likewise)"),
 }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, SIMULATE_DEFAULTS)
-    _require(resolved, "out")
+# -- subcommands --------------------------------------------------------------
+
+SIMULATE_SETTINGS = {
+    "seed": (0, int, "random seed"),
+    "students": (100, int, "number of students"),
+    "concepts": (10, int, "size of the default chain graph (ignored with --graph)"),
+    "graph": (None, str, "concept graph file (default: a chain)"),
+    "items_per_concept": (ItemBankSpec.items_per_concept, int, "items per concept"),
+    "responses": ("100", str, "events per student: N or lo:hi"),
+    "alpha_range": ("0.5:2.0", str, "true discrimination range lo:hi"),
+    "beta_range": ("-2.0:2.0", str, "true difficulty range lo:hi"),
+    "nu2": (TemporalConfig.drift_variance, float, "true drift variance per clock unit"),
+    "lam": (SimulationScenario.lam, float, "true prior precision weight"),
+    "gamma": (SimulationScenario.gamma, float, "true prerequisite coupling weight"),
+    "clock": _CLOCK,
+    "assignment": ("uniform", str, "'uniform' or 'blocks:<length>'"),
+    "coupling": ("independent", ("independent", "prior_shaped"),
+                 "drift step coupling across concepts"),
+    "arrival": ("unit", str, "'unit' or 'exp:<mean_seconds>'"),
+    "format": _INPUT["format"],
+    "out": (REQUIRED, str, "output directory"),
+}
+
+
+def cmd_simulate(resolved: dict) -> int:
     if resolved["graph"] is not None:
         graph = load_graph(resolved["graph"])
     else:
-        graph = chain_graph(_int_setting(resolved, "concepts"))
+        graph = chain_graph(resolved["concepts"])
     clock, spu = _parse_clock(resolved["clock"])
 
     assignment, block_length = str(resolved["assignment"]), 10
@@ -247,17 +285,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         arrival = "exponential"
 
     scenario = SimulationScenario(
-        seed=_int_setting(resolved, "seed"),
-        n_students=_int_setting(resolved, "students"),
+        seed=resolved["seed"],
+        n_students=resolved["students"],
         graph=graph,
         bank_spec=ItemBankSpec(
-            items_per_concept=_int_setting(resolved, "items_per_concept"),
+            items_per_concept=resolved["items_per_concept"],
             discrimination_range=_pair_setting(resolved, "alpha_range"),
             difficulty_range=_pair_setting(resolved, "beta_range"),
         ),
-        true_temporal=TemporalConfig(_float_setting(resolved, "nu2"), clock, spu),
-        lam=_float_setting(resolved, "lam"),
-        gamma=_float_setting(resolved, "gamma"),
+        true_temporal=TemporalConfig(resolved["nu2"], clock, spu),
+        lam=resolved["lam"],
+        gamma=resolved["gamma"],
         responses_per_student=_parse_responses(resolved["responses"]),
         assignment=assignment,
         block_length=block_length,
@@ -276,7 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_truth(result, out_dir / "true_bank.csv", out_dir / "true_paths.jsonl")
     _write_json(out_dir / "scenario.json", {
         "format_version": CLI_FORMAT_VERSION,
-        "run_config": _run_config("simulate", resolved),
+        "run_config": resolved,
         "summary": result.dataset.summary(),
         "n_items": len(result.bank),
     })
@@ -286,22 +324,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-CALIBRATE_DEFAULTS = {
-    "data": None, "out": None, "format": "csv", "strict": False,
-    "concept_map": None, "true_bank": None,
-    "max_rounds": 50, "delta": 1e-5, "floor": 0.01,
-    "no_preprocess": False, "min_responses": 5, "max_attempts": 4,
+CALIBRATE_SETTINGS = {
+    "data": (REQUIRED, str, "training interaction log"),
+    "out": (REQUIRED, str, "output bank CSV path"),
+    **_INPUT,
+    "concept_map": (None, str,
+                    "item-to-concept mapping: a bank CSV or item<TAB>concept lines"),
+    "true_bank": (None, str, "true bank CSV for recovery correlations"),
+    "max_rounds": (CalibrationConfig.max_outer_rounds, int, "alternating rounds cap"),
+    "delta": (CalibrationConfig.convergence_delta, float,
+              "stop when mean absolute parameter change drops below this"),
+    "floor": (CalibrationConfig.discrimination_floor, float, "discrimination floor"),
+    **_PREPROCESSING,
 }
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, CALIBRATE_DEFAULTS)
-    _require(resolved, "data", "out")
+def cmd_calibrate(resolved: dict) -> int:
     data = _load_dataset(resolved)
     config = CalibrationConfig(
-        max_outer_rounds=_int_setting(resolved, "max_rounds"),
-        convergence_delta=_float_setting(resolved, "delta"),
-        discrimination_floor=_float_setting(resolved, "floor"),
+        max_outer_rounds=resolved["max_rounds"],
+        convergence_delta=resolved["delta"],
+        discrimination_floor=resolved["floor"],
     )
     concept_map = (
         _concept_map_from_file(resolved["concept_map"])
@@ -312,7 +355,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     log = {
         "format_version": CLI_FORMAT_VERSION,
-        "run_config": _run_config("calibrate", resolved),
+        "run_config": resolved,
         "data_summary": data.summary(),
         "calibration": bank.meta.to_dict(),
     }
@@ -328,67 +371,60 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-EVALUATE_DEFAULTS = {
-    "data": None, "bank": None, "graph": None, "model": None,
-    "nu2": None, "lam": None, "gamma": None, "clock": "step",
-    "buckets": 10, "solver_tolerance": 1e-8, "solver_max_iterations": 100,
-    "format": "csv", "strict": False, "out": None,
-    "no_preprocess": False, "min_responses": 5, "max_attempts": 4,
+EVALUATE_SETTINGS = {
+    "data": (REQUIRED, str, "evaluation interaction log"),
+    "bank": _BANK,
+    "graph": _GRAPH,
+    "model": (None, list(MODEL_KINDS), "model variant; repeat for several (tskirt when unset)"),
+    **_HYPERPARAMETERS,
+    "clock": _CLOCK,
+    "buckets": (10, int, "percent-correct buckets in the plot table"),
+    **_SOLVER,
+    **_INPUT,
+    "out": (None, str, "output directory for reports"),
+    **_PREPROCESSING,
 }
 
 
-def _build_variants(resolved: dict) -> list[ModelVariant]:
-    names = _models_list(resolved["model"])
-    overrides = {
-        k: (None if resolved[k] is None else _float_setting(resolved, k))
-        for k in ("nu2", "lam", "gamma")
-    }
-    return [ModelVariant.from_name(name, **overrides) for name in names]
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, EVALUATE_DEFAULTS)
-    _require(resolved, "data", "bank")
-    data = _load_dataset(resolved)
-    bank = ItemBank.load_csv(resolved["bank"])
-    graph = load_graph(resolved["graph"]) if resolved["graph"] else None
-    clock, spu = _parse_clock(resolved["clock"])
-    solver = SolverConfig(
-        gradient_tolerance=_float_setting(resolved, "solver_tolerance"),
-        max_iterations=_int_setting(resolved, "solver_max_iterations"),
-    )
-    variants = _build_variants(resolved)
+def cmd_evaluate(resolved: dict) -> int:
+    data, bank, options = _load_run_inputs(resolved)
+    names = resolved["model"]
+    names = ["tskirt"] if names is None else [names] if isinstance(names, str) else list(names)
+    if len(set(map(str, names))) != len(names):
+        raise DataError("duplicate model names")
+    variants = [_variant(name, resolved) for name in names]
     reports = [
-        run_online_evaluation(
-            data, bank, variant, prior_graph=graph, solver=solver,
-            n_buckets=_int_setting(resolved, "buckets"), clock=clock, seconds_per_unit=spu,
-        )
+        run_online_evaluation(data, bank, variant, n_buckets=resolved["buckets"], **options)
         for variant in variants
     ]
     print(summary_table(reports))
     if resolved["out"]:
         out_dir = Path(resolved["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        run_config = _run_config("evaluate", resolved)
         for report in reports:
-            write_report_json(report, out_dir / f"report_{report.model}.json", run_config)
-        write_bucket_tsv(reports, out_dir / "buckets.tsv", run_config)
+            write_report_json(report, out_dir / f"report_{report.model}.json", resolved)
+        write_bucket_tsv(reports, out_dir / "buckets.tsv", resolved)
         print(f"reports written to {out_dir}")
     return 0
 
 
-SWEEP_DEFAULTS = {
-    "data": None, "bank": None, "graph": None, "model": "tskirt",
-    "nu2_grid": None, "lambda_grid": None, "gamma_grid": None,
-    "clock": "step", "solver_tolerance": 1e-8, "solver_max_iterations": 100,
-    "format": "csv", "strict": False, "out": None,
-    "no_preprocess": False, "min_responses": 5, "max_attempts": 4,
+SWEEP_SETTINGS = {
+    "data": (REQUIRED, str, "tuning interaction log (keep the eval split out)"),
+    "bank": _BANK,
+    "graph": _GRAPH,
+    "model": ("tskirt", MODEL_KINDS, "model variant"),
+    "nu2_grid": (None, str, "comma-separated drift variances (the model's own when unset)"),
+    "lambda_grid": (None, str, "comma-separated weights (likewise)"),
+    "gamma_grid": (None, str, "comma-separated coupling weights (likewise)"),
+    "clock": _CLOCK,
+    **_SOLVER,
+    **_INPUT,
+    "out": (None, str, "output JSON path"),
+    **_PREPROCESSING,
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, SWEEP_DEFAULTS)
-    _require(resolved, "data", "bank")
+def cmd_sweep(resolved: dict) -> int:
     base = str(resolved["model"])
     if base == "spc":
         raise DataError("spc has no hyperparameters to sweep")
@@ -396,23 +432,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     nu2_grid = _grid_setting(resolved, "nu2_grid", default.nu2)
     lam_grid = _grid_setting(resolved, "lambda_grid", default.lam)
     gamma_grid = _grid_setting(resolved, "gamma_grid", default.gamma)
-
-    data = _load_dataset(resolved)
-    bank = ItemBank.load_csv(resolved["bank"])
-    graph = load_graph(resolved["graph"]) if resolved["graph"] else None
-    clock, spu = _parse_clock(resolved["clock"])
-    solver = SolverConfig(
-        gradient_tolerance=_float_setting(resolved, "solver_tolerance"),
-        max_iterations=_int_setting(resolved, "solver_max_iterations"),
-    )
+    data, bank, options = _load_run_inputs(resolved)
 
     rows = []
     for nu2, lam, gamma in itertools.product(nu2_grid, lam_grid, gamma_grid):
         variant = ModelVariant.from_name(base, nu2=nu2, lam=lam, gamma=gamma)
-        report = run_online_evaluation(
-            data, bank, variant, prior_graph=graph, solver=solver,
-            n_buckets=1, clock=clock, seconds_per_unit=spu,
-        )
+        report = run_online_evaluation(data, bank, variant, n_buckets=1, **options)
         rows.append({
             "nu2": variant.nu2, "lam": variant.lam, "gamma": variant.gamma,
             "accuracy": report.accuracy, "accuracy_sem": report.accuracy_sem,
@@ -434,29 +459,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if resolved["out"]:
         _write_json(resolved["out"], {
             "format_version": CLI_FORMAT_VERSION,
-            "run_config": _run_config("sweep", resolved),
+            "run_config": resolved,
             "results": rows,
             "best": best,
         })
     return 0
 
 
-PREDICT_DEFAULTS = {
-    "history": None, "bank": None, "graph": None, "model": "tskirt",
-    "nu2": None, "lam": None, "gamma": None, "clock": "step",
-    "student": None, "items": None, "now": None,
-    "format": "csv", "strict": False, "out": None,
+PREDICT_SETTINGS = {
+    "history": (REQUIRED, str, "one student's interaction log"),
+    "bank": _BANK,
+    "graph": _GRAPH,
+    "model": ("tskirt", MODEL_KINDS, "model variant"),
+    **_HYPERPARAMETERS,
+    "clock": _CLOCK,
+    "student": (None, str, "student id when the file holds several"),
+    "items": (REQUIRED, str, "comma-separated candidate item ids"),
+    "now": (None, float, "prediction time in clock units "
+                         "(default: one step after the history, or its last timestamp)"),
+    **_INPUT,
+    "out": (None, str, "output JSON path"),
 }
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, PREDICT_DEFAULTS)
-    _require(resolved, "history", "bank", "items")
+def cmd_predict(resolved: dict) -> int:
     bank = ItemBank.load_csv(resolved["bank"])
     graph = load_graph(resolved["graph"]) if resolved["graph"] else None
     clock, spu = _parse_clock(resolved["clock"])
     data = load_interactions(resolved["history"], format=resolved["format"],
-                             strict=bool(resolved["strict"]))
+                             strict=resolved["strict"])
     if resolved["student"] is not None:
         sid = str(resolved["student"])
         if sid not in data.students:
@@ -471,10 +502,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"{resolved['history']} holds {data.n_students} students; pick one with --student"
         )
 
-    base = str(resolved["model"])
-    overrides = {k: (None if resolved[k] is None else _float_setting(resolved, k))
-                 for k in ("nu2", "lam", "gamma")}
-    variant = ModelVariant.from_name(base, **overrides)
+    variant = _variant(resolved["model"], resolved)
     item_names = (resolved["items"].split(",") if isinstance(resolved["items"], str)
                   else list(resolved["items"]))
     item_names = [s.strip() for s in item_names if s.strip()]
@@ -498,7 +526,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     temporal = TemporalConfig(variant.nu2, clock, spu)
     times = temporal.event_time(np.arange(1.0, len(item) + 1), stamp)
     if resolved["now"] is not None:
-        now = _float_setting(resolved, "now")
+        now = resolved["now"]
     elif clock == "step":
         now = float(len(item) + 1)
     else:
@@ -533,7 +561,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if resolved["out"]:
         _write_json(resolved["out"], {
             "format_version": CLI_FORMAT_VERSION,
-            "run_config": _run_config("predict", resolved),
+            "run_config": resolved,
             "model": variant.kind,
             "hyperparameters": variant.hyperparameters(),
             "now": now,
@@ -547,40 +575,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 # -- parser wiring ------------------------------------------------------------
 
-
-def _add_common(p: argparse.ArgumentParser, *, preprocessing: bool) -> None:
-    p.add_argument("--config", help="YAML config file; flags override its values")
-    p.add_argument("--format", choices=["csv", "jsonl"], help="interaction file format")
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="fail on malformed rows instead of skipping them")
-    if preprocessing:
-        p.add_argument("--no-preprocess", action="store_true", default=None,
-                       help="skip attempt capping and the minimum-response filter")
-        p.add_argument("--min-responses", type=int,
-                       help="drop students with fewer retained responses (default 5)")
-        p.add_argument("--max-attempts", type=int,
-                       help="keep only the most recent attempts per student/item pair "
-                            "(default 4)")
-
-
-def _add_hyperparameters(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu2", type=float, help="drift variance per clock unit")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="prior precision weight on each proficiency")
-    p.add_argument("--gamma", type=float,
-                   help="prerequisite coupling weight (vector models)")
-
-
-def _add_model_options(p: argparse.ArgumentParser, *, multi: bool) -> None:
-    if multi:
-        p.add_argument("--model", action="append", choices=list(MODEL_KINDS),
-                       help="model variant; repeat for several (default tskirt)")
-    else:
-        p.add_argument("--model", choices=list(MODEL_KINDS),
-                       help="model variant (default tskirt)")
-    p.add_argument("--clock", help="'step' or 'wall:<seconds_per_unit>'")
-    p.add_argument("--graph", help="concept graph file")
-    p.add_argument("--bank", help="item bank CSV")
+COMMANDS = {
+    "simulate": (cmd_simulate, SIMULATE_SETTINGS, "generate a synthetic cohort"),
+    "calibrate": (cmd_calibrate, CALIBRATE_SETTINGS,
+                  "fit item parameters on a training split"),
+    "evaluate": (cmd_evaluate, EVALUATE_SETTINGS, "online next-response evaluation"),
+    "sweep": (cmd_sweep, SWEEP_SETTINGS, "grid search hyperparameters on a tuning split"),
+    "predict": (cmd_predict, PREDICT_SETTINGS, "probabilities for candidate next items"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,89 +592,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic cohort")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--students", type=int)
-    p.add_argument("--concepts", type=int,
-                   help="size of the default chain graph (ignored with --graph)")
-    p.add_argument("--graph", help="concept graph file (default: a chain)")
-    p.add_argument("--items-per-concept", type=int)
-    p.add_argument("--responses", help="events per student: N or lo:hi")
-    p.add_argument("--alpha-range", help="true discrimination range lo:hi")
-    p.add_argument("--beta-range", help="true difficulty range lo:hi")
-    _add_hyperparameters(p)
-    p.add_argument("--clock")
-    p.add_argument("--assignment", help="'uniform' or 'blocks:<length>'")
-    p.add_argument("--coupling", choices=["independent", "prior_shaped"],
-                   help="drift step coupling across concepts")
-    p.add_argument("--arrival", help="'unit' or 'exp:<mean_seconds>'")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--config")
-    p.add_argument("--format", choices=["csv", "jsonl"])
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("calibrate", help="fit item parameters on a training split")
-    p.add_argument("--data", help="training interaction log")
-    p.add_argument("--out", help="output bank CSV path")
-    p.add_argument("--concept-map",
-                   help="item-to-concept mapping: a bank CSV or item<TAB>concept lines")
-    p.add_argument("--true-bank", help="true bank CSV for recovery correlations")
-    p.add_argument("--max-rounds", type=int, help="alternating rounds cap (default 50)")
-    p.add_argument("--delta", type=float,
-                   help="stop when mean absolute parameter change drops below this")
-    p.add_argument("--floor", type=float, help="discrimination floor (default 0.01)")
-    _add_common(p, preprocessing=True)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("evaluate", help="online next-response evaluation")
-    p.add_argument("--data", help="evaluation interaction log")
-    _add_model_options(p, multi=True)
-    _add_hyperparameters(p)
-    p.add_argument("--buckets", type=int,
-                   help="percent-correct buckets in the plot table (default 10)")
-    p.add_argument("--solver-tolerance", type=float)
-    p.add_argument("--solver-max-iterations", type=int)
-    p.add_argument("--out", help="output directory for reports")
-    _add_common(p, preprocessing=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    # no abbreviations: --nu2, --lambda and --gamma would match the grid flags
-    p = sub.add_parser("sweep", help="grid search hyperparameters on a tuning split",
-                       allow_abbrev=False)
-    p.add_argument("--data", help="tuning interaction log (keep the eval split out)")
-    _add_model_options(p, multi=False)
-    p.add_argument("--nu2-grid", help="comma-separated drift variances")
-    p.add_argument("--lambda-grid", dest="lambda_grid", help="comma-separated weights")
-    p.add_argument("--gamma-grid", help="comma-separated coupling weights")
-    p.add_argument("--solver-tolerance", type=float)
-    p.add_argument("--solver-max-iterations", type=int)
-    p.add_argument("--out", help="output JSON path")
-    _add_common(p, preprocessing=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("predict", help="probabilities for candidate next items")
-    p.add_argument("--history", help="one student's interaction log")
-    p.add_argument("--student", help="student id when the file holds several")
-    _add_model_options(p, multi=False)
-    _add_hyperparameters(p)
-    p.add_argument("--items", help="comma-separated candidate item ids")
-    p.add_argument("--now", type=float,
-                   help="prediction time in clock units "
-                        "(default: one step after the history, or its last timestamp)")
-    p.add_argument("--out", help="output JSON path")
-    _add_common(p, preprocessing=False)
-    p.set_defaults(func=cmd_predict)
-
+    for name, (_, settings, summary) in COMMANDS.items():
+        # no prefixes: a flag takes exactly the name its config key does
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="YAML config file; flags override its values")
+        for key, (default, kind, text) in settings.items():
+            if default is REQUIRED:
+                text += " (required)"
+            elif default is not None and kind is not bool:
+                text += f" (default {default})"
+            options = {"action": "store_true"} if kind is bool else {}
+            if isinstance(kind, (tuple, list)):
+                options["choices"] = kind
+                if isinstance(kind, list):
+                    options["action"] = "append"
+            # None marks an unset flag; an argparse default would also make
+            # `--model x` extend a config file's model list instead of replacing it
+            p.add_argument(_flag(key), dest=key, default=None, help=text, **options)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command, settings, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+        return command(_resolve(args, settings))
+    except (ValueError, OSError, KeyError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

@@ -17,6 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+# the prior is a dense concepts x concepts precision, 8 MB at this size
+MAX_CHAIN_CONCEPTS = 1000
+
+
 class GraphError(ValueError):
     """Invalid concept graph or prior configuration."""
 
@@ -71,6 +75,8 @@ def chain_graph(n: int) -> ConceptGraph:
     """Chain of n concepts c01 -> c02 -> ... -> cn, ids zero-padded to at least two digits."""
     if n < 1:
         raise GraphError("chain needs at least one concept")
+    if n > MAX_CHAIN_CONCEPTS:
+        raise GraphError(f"chain concepts must be <= {MAX_CHAIN_CONCEPTS}, got {n}")
     width = max(2, len(str(n)))
     names = tuple(f"c{i + 1:0{width}d}" for i in range(n))
     return ConceptGraph(names, tuple(zip(names[:-1], names[1:])))

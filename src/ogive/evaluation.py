@@ -27,6 +27,8 @@ from .irt_core import PROB_FLOOR, TemporalConfig, effective_discriminations, pro
 
 REPORT_FORMAT_VERSION = "1"
 
+MAX_BUCKETS = 1000  # percent-correct buckets; each is a row of every report
+
 MODEL_KINDS = ("spc", "static_2po", "temporal_2po", "factorial_mvn",
                "correlated_mvn", "tskirt")
 
@@ -191,8 +193,8 @@ def bucket_by_student_percent_correct(
     Every bin is emitted, empty ones with None metrics, so the plot table has
     a fixed number of rows.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    if not 1 <= n_bins <= MAX_BUCKETS:
+        raise ValueError(f"n_bins must be between 1 and {MAX_BUCKETS}, got {n_bins}")
     buckets: list[BucketMetrics] = []
     if len(probabilities) == 0:
         return [

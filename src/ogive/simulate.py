@@ -25,6 +25,11 @@ from .irt_core import STATIC, ItemParams, TemporalConfig, probit
 
 TRUTH_FORMAT_VERSION = "1"
 
+# generation holds every event in memory, about 220 bytes each on CPython 3.11,
+# so about 2.2 GB at the event limit
+MAX_SIMULATED_EVENTS = 10**7  # students x the largest response count
+MAX_BANK_ITEMS = 10**5  # concepts x items per concept
+
 
 @dataclass(frozen=True)
 class ItemBankSpec:
@@ -72,6 +77,14 @@ class SimulationScenario:
             lo, hi = r
             if not 1 <= lo <= hi:
                 raise ValueError("responses_per_student range must satisfy 1 <= lo <= hi")
+        events = self.n_students * (r if isinstance(r, int) else r[1])
+        if events > MAX_SIMULATED_EVENTS:
+            raise ValueError(f"n_students x responses_per_student must be <= "
+                             f"{MAX_SIMULATED_EVENTS}, got {events}")
+        n_items = self.graph.n_concepts * self.bank_spec.items_per_concept
+        if n_items > MAX_BANK_ITEMS:
+            raise ValueError(f"concepts x items_per_concept must be <= {MAX_BANK_ITEMS}, "
+                             f"got {n_items}")
         if self.assignment not in ("uniform", "blocks"):
             raise ValueError(f"unknown assignment policy {self.assignment!r}")
         if self.block_length < 1:

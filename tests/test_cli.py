@@ -10,6 +10,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -159,33 +161,64 @@ def test_non_finite_setting_is_a_user_error(sim_dir, tmp_path, capsys, command, 
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, setting", [
-    ("simulate", "items_per_concept: 2.7"),
-    ("calibrate", "max_rounds: .inf"),
-    ("evaluate", "buckets: .nan"),
-    ("sweep", "solver_max_iterations: 1.5"),
-])
-def test_non_integral_config_setting_is_a_user_error(sim_dir, tmp_path, capsys, command,
-                                                     setting):
+def run_setting(sim_dir, tmp_path, capsys, command, setting, form):
+    """Run `command` with one `key: value` setting, from a config file or as a flag.
+
+    Returns the exit code, the captured streams and the output path.
+    """
     data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(setting + "\n")
     out = tmp_path / "out"
     inputs = {
         "simulate": ["--students", "2", "--out", str(out)],
         "calibrate": ["--data", data, "--out", str(out)],
-        "evaluate": ["--data", data, "--bank", bank, "--model", "spc", "--out", str(out)],
+        "evaluate": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
         "sweep": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
+        "predict": ["--history", data, "--student", "s0001", "--bank", bank,
+                    "--model", "static_2po", "--items", "q0001", "--out", str(out)],
     }[command]
-    assert run_cli(command, *inputs, "--config", str(cfg)) == 2
-    captured = capsys.readouterr()
+    if form == "flag":
+        key, text = setting.split(":", 1)
+        setting_args = [f"{cli._flag(key)}={text.strip()}"]  # `=` keeps -2:abc a value
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(setting + "\n")
+        setting_args = ["--config", str(cfg)]
+    return run_cli(command, *inputs, *setting_args), capsys.readouterr(), out
+
+
+def both_forms(cases):
+    """Each case in its config-file form, under its own id, and again as a flag."""
+    return ([pytest.param(*case, "config", id="-".join(case)) for case in cases]
+            + [pytest.param(*case, "flag", id="flag-" + "-".join(case)) for case in cases])
+
+
+@pytest.mark.parametrize("command, setting, form", both_forms([
+    ("simulate", "items_per_concept: 2.7"),
+    ("calibrate", "max_rounds: .inf"),
+    ("evaluate", "buckets: .nan"),
+    ("sweep", "solver_max_iterations: 1.5"),
+]))
+def test_non_integral_config_setting_is_a_user_error(sim_dir, tmp_path, capsys, command,
+                                                     setting, form):
+    code, captured, out = run_setting(sim_dir, tmp_path, capsys, command, setting, form)
+    assert code == 2
     key = setting.split(":")[0]
     assert f"{key} must be an integer" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, setting, message", [
+# A flag is text, so where the file holds a typed YAML value (a float, a bool,
+# an integer past float range) the flag's message shows the text; 400 digits
+# of text read as inf, like 1e400, and fail where the setting is checked.
+FLAG_MESSAGES = {
+    "responses: 2.7": "responses must be an integer, got '2.7'",
+    "floor: true": "floor must be a number, got 'true'",
+    "delta: 1" + "0" * 400: "convergence_delta must be finite",
+}
+
+
+@pytest.mark.parametrize("command, setting, message, form", both_forms([
     ("simulate", "responses: 2.7", "responses must be an integer, got 2.7"),
     ("simulate", "lam: abc", "lam must be a number, got 'abc'"),
     ("simulate", "arrival: exp:abc", "arrival exp:<mean_seconds> must be a number"),
@@ -199,23 +232,13 @@ def test_non_integral_config_setting_is_a_user_error(sim_dir, tmp_path, capsys, 
     ("sweep", "nu2_grid: 0.1,abc", "nu2_grid must be a number, got 'abc'"),
     ("sweep", "solver_tolerance: abc", "solver_tolerance must be a number, got 'abc'"),
     ("predict", "now: abc", "now must be a number, got 'abc'"),
-])
+]))
 def test_non_numeric_config_setting_names_its_key(sim_dir, tmp_path, capsys, command,
-                                                  setting, message):
-    data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(setting + "\n")
-    out = tmp_path / "out"
-    inputs = {
-        "simulate": ["--students", "2", "--out", str(out)],
-        "calibrate": ["--data", data, "--out", str(out)],
-        "evaluate": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
-        "sweep": ["--data", data, "--bank", bank, "--model", "static_2po", "--out", str(out)],
-        "predict": ["--history", data, "--student", "s0001", "--bank", bank,
-                    "--model", "static_2po", "--items", "q0001", "--out", str(out)],
-    }[command]
-    assert run_cli(command, *inputs, "--config", str(cfg)) == 2
-    captured = capsys.readouterr()
+                                                  setting, message, form):
+    code, captured, out = run_setting(sim_dir, tmp_path, capsys, command, setting, form)
+    assert code == 2
+    if form == "flag":
+        message = FLAG_MESSAGES.get(setting, message)
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -237,23 +260,28 @@ def toy_dir(tmp_path_factory):
     return out
 
 
-# each subcommand's numeric config keys, with a base config that keeps runs tiny
+# each subcommand's numeric and switch config keys, with a base config that keeps
+# runs tiny
 FUZZED_KEYS = {
     "simulate": ("seed", "students", "concepts", "items_per_concept", "responses",
                  "alpha_range", "beta_range", "nu2", "lam", "gamma", "clock",
                  "assignment", "arrival"),
-    "calibrate": ("max_rounds", "delta", "floor", "min_responses", "max_attempts"),
+    "calibrate": ("max_rounds", "delta", "floor", "min_responses", "max_attempts",
+                  "strict", "no_preprocess"),
     "evaluate": ("nu2", "lam", "gamma", "clock", "buckets", "solver_tolerance",
-                 "solver_max_iterations", "min_responses", "max_attempts"),
+                 "solver_max_iterations", "min_responses", "max_attempts", "strict",
+                 "no_preprocess"),
     "sweep": ("nu2_grid", "lambda_grid", "gamma_grid", "clock", "solver_tolerance",
-              "solver_max_iterations", "min_responses", "max_attempts"),
-    "predict": ("nu2", "lam", "gamma", "clock", "now"),
+              "solver_max_iterations", "min_responses", "max_attempts", "strict",
+              "no_preprocess"),
+    "predict": ("nu2", "lam", "gamma", "clock", "now", "strict"),
 }
 FUZZED_SETTINGS = [(command, key) for command, keys in FUZZED_KEYS.items() for key in keys]
 NOT_A_SETTING = st.one_of(
-    # no digits, so no text parses as a large count
-    st.text(alphabet="abcdefilnptwxy:,.-+ ", max_size=8),
-    st.sampled_from(["wall:", "exp:", "blocks:", "1:", ":2", "1:2:3", "0x10", "1e400"]),
+    st.text(alphabet="0123456789abcdefilnptwxy:,.-+ ", max_size=8),
+    st.sampled_from(["wall:", "exp:", "blocks:", "1:", ":2", "1:2:3", "0x10", "1e400",
+                     "false", "1:1000000000000"]),
+    st.sampled_from([10**12, -10**12, 10**30, 2**63]),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
     st.booleans(),
     st.sampled_from([math.inf, -math.inf, math.nan]),
@@ -289,6 +317,94 @@ def test_fuzzed_numeric_setting_exits_cleanly(toy_dir, setting, value):
     assert "Traceback" not in stderr.getvalue() + stdout.getvalue()
     if code == 2:
         assert stderr.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--stud", "3"],
+    ["calibrate", "--max-r", "2"],
+    ["evaluate", "--buck", "4"],
+    ["sweep", "--nu2-g", "0.1"],
+    ["predict", "--ite", "q0001"],
+])
+def test_abbreviated_flag_is_refused(argv, capsys):
+    """A flag takes exactly the name its config key does, with no prefixes."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ['no_preprocess: "false"', "no_preprocess: 0",
+                                     "strict: 1", "strict: on purpose", "strict:"])
+def test_config_switch_takes_only_true_or_false(sim_dir, tmp_path, capsys, setting):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(setting + "\nmin_responses: 1000\n")
+    out = tmp_path / "bank.csv"
+    assert run_cli("calibrate", "--data", str(sim_dir / "interactions.csv"),
+                   "--out", str(out), "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert f"{setting.split(':')[0]} must be true or false" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_switch_is_read_as_a_boolean(sim_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    for value, code in (("false", 2), ("true", 0)):
+        cfg.write_text(f"no_preprocess: {value}\nmin_responses: 1000\nmax_rounds: 2\n")
+        assert run_cli("calibrate", "--data", str(sim_dir / "interactions.csv"),
+                       "--out", str(tmp_path / f"{value}.csv"), "--config", str(cfg)) == code
+        if value == "false":  # preprocessing ran and dropped every student
+            assert "empty training set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, config_text", [
+    ("calibrate",
+     ["--max-rounds", "3", "--floor", "1", "--delta", "0.001", "--min-responses", "5"],
+     "max_rounds: 3.0\nfloor: 1\ndelta: 1.0e-3\nmin_responses: 5.0\n"),
+    ("evaluate",
+     ["--model", "tskirt", "--model", "static_2po", "--nu2", "1", "--lambda", "2",
+      "--buckets", "4", "--solver-max-iterations", "50", "--strict"],
+     "model: [tskirt, static_2po]\nnu2: 1\nlam: 2\nbuckets: 4.0\n"
+     "solver_max_iterations: 50.0\nstrict: true\n"),
+], ids=["calibrate", "evaluate"])
+def test_flag_and_config_forms_write_the_same_artifacts(sim_dir, tmp_path, capsys, command,
+                                                        flags, config_text):
+    """Each setting is recorded as the value the run used, however it was given."""
+    inputs = ["--data", str(sim_dir / "interactions.csv")]
+    if command == "evaluate":
+        inputs += ["--bank", str(sim_dir / "true_bank.csv"),
+                   "--graph", str(sim_dir / "graph.txt")]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config_text)
+    run_dir = tmp_path / "run"
+    out = run_dir / "bank.csv" if command == "calibrate" else run_dir
+
+    def artifacts(*argv):
+        run_dir.mkdir(exist_ok=True)
+        assert run_cli(command, *inputs, *argv, "--out", str(out)) == 0
+        files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        for p in run_dir.iterdir():
+            p.unlink()
+        return files
+
+    from_flags = artifacts(*flags)
+    from_config = artifacts("--config", str(cfg))
+    capsys.readouterr()
+    assert len(from_flags) >= 2 and from_flags.keys() == from_config.keys()
+    path = json.dumps(str(cfg)).encode()
+    assert any(path in body for body in from_config.values())
+    for name, body in from_flags.items():
+        assert body == from_config[name].replace(path, b"null"), name
+
+
+def test_malformed_config_file_is_a_user_error(tmp_path, capsys):
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text("seed: [1, 2\n")
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--nu2", "--lambda", "--gamma"])
@@ -526,3 +642,43 @@ def test_predict_unknown_candidate_item(sim_dir, tmp_path, capsys):
         "--items", "qZZZZ",
     ) == 2
     assert "not in the bank" in capsys.readouterr().err
+
+
+# README placeholders, each replaced by a value the command accepts
+README_PLACEHOLDERS = {"$seed": "1", "<best nu2>": "0.1", "<best lam>": "0.3",
+                       "<best gamma>": "1.2"}
+
+
+def readme_commands():
+    """Every `ogive ...` command in README.md's sh blocks, as argv after `ogive`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.strip()
+            if line.startswith("ogive "):
+                for placeholder, value in README_PLACEHOLDERS.items():
+                    line = line.replace(placeholder, value)
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse_and_resolve():
+    """A renamed or dropped flag fails here instead of leaving the README stale."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    for argv in commands:
+        assert not any(c in " ".join(argv) for c in "$<>"), argv
+        args = cli.build_parser().parse_args(argv)
+        resolved = cli._resolve(args, cli.COMMANDS[args.command][1])
+        assert resolved["command"] == argv[0]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_every_setting(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in cli.COMMANDS[command][1]:
+        assert cli._flag(key) in out

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogive.concept_graph import (
+    MAX_CHAIN_CONCEPTS,
     ConceptGraph,
     GraphError,
     build_prior,
@@ -48,6 +49,10 @@ def test_chain_graph_degenerate():
     assert g.edges == ()
     with pytest.raises(GraphError):
         chain_graph(0)
+    assert chain_graph(MAX_CHAIN_CONCEPTS).n_concepts == MAX_CHAIN_CONCEPTS
+    for n in (MAX_CHAIN_CONCEPTS + 1, 10**12):
+        with pytest.raises(GraphError, match="chain concepts must be <="):
+            chain_graph(n)
 
 
 def test_graph_validation_errors():

@@ -19,6 +19,7 @@ from ogive.calibration import ItemBank
 from ogive.concept_graph import ConceptGraph, build_prior, chain_graph
 from ogive.dataio import Dataset, InteractionRecord
 from ogive.evaluation import (
+    MAX_BUCKETS,
     MODEL_KINDS,
     REPORT_FORMAT_VERSION,
     ModelVariant,
@@ -215,6 +216,11 @@ def test_bucket_empty_input_and_validation():
     assert all(b.n_predictions == 0 for b in out)
     with pytest.raises(ValueError):
         bucket_by_student_percent_correct(np.array([]), np.array([]), np.array([]), 0)
+    assert len(bucket_by_student_percent_correct(
+        np.array([]), np.array([]), np.array([]), MAX_BUCKETS)) == MAX_BUCKETS
+    for n_bins in (MAX_BUCKETS + 1, 10**12):
+        with pytest.raises(ValueError, match="n_bins must be between 1 and"):
+            bucket_by_student_percent_correct(np.array([]), np.array([]), np.array([]), n_bins)
 
 
 def test_bucket_with_auc_flag():

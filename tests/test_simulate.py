@@ -14,6 +14,8 @@ from ogive.calibration import ItemBank
 from ogive.concept_graph import chain_graph
 from ogive.irt_core import STATIC, TemporalConfig
 from ogive.simulate import (
+    MAX_BANK_ITEMS,
+    MAX_SIMULATED_EVENTS,
     ItemBankSpec,
     SimulationScenario,
     empirical_step_variance,
@@ -67,6 +69,21 @@ def test_scenario_validation():
     for gap in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="mean_inter_arrival_seconds must be finite"):
             scenario(inter_arrival="exponential", mean_inter_arrival_seconds=gap)
+
+
+def test_scenario_counts_are_bounded():
+    """The limits hold at their edge and refuse one past it, before any draw."""
+    assert scenario(n_students=MAX_SIMULATED_EVENTS // 40, responses_per_student=40)
+    assert scenario(n_students=MAX_SIMULATED_EVENTS // 40, responses_per_student=(1, 40))
+    for kw in ({"n_students": 10**12}, {"responses_per_student": 10**12},
+               {"responses_per_student": (1, 10**12)},
+               {"n_students": MAX_SIMULATED_EVENTS // 40 + 1, "responses_per_student": 40}):
+        with pytest.raises(ValueError, match="n_students x responses_per_student must be <="):
+            scenario(**kw)
+    assert scenario(graph=chain_graph(10), bank_spec=ItemBankSpec(MAX_BANK_ITEMS // 10))
+    for per in (MAX_BANK_ITEMS // 10 + 1, 10**12):
+        with pytest.raises(ValueError, match="concepts x items_per_concept must be <="):
+            scenario(graph=chain_graph(10), bank_spec=ItemBankSpec(per))
 
 
 def test_same_seed_reproduces_everything():
