@@ -11,7 +11,9 @@ are almost always data errors.
 from __future__ import annotations
 
 import graphlib
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,11 +123,15 @@ class StructuredPrior:
         """Unnormalized log-density -lam*sum(theta^2) - gamma*sum((theta_n-theta_m)^2)."""
         return self.value_and_grad(theta)[0]
 
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of the precision, factored once per prior."""
+        return np.linalg.cholesky(self.precision)
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw `size` vectors from the prior via its Cholesky factor."""
-        chol = np.linalg.cholesky(self.precision)
         z = rng.standard_normal((self.graph.n_concepts, size))
-        return _chol_solve_t(chol, z).T
+        return _chol_solve_t(self.cholesky, z).T
 
     def correlation(self) -> np.ndarray:
         """Correlation matrix of the prior (inverse precision, normalized)."""
@@ -141,12 +147,26 @@ def _chol_solve_t(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     return solve_triangular(chol, z, trans="T", lower=True)
 
 
+def check_precision_finite(lam: float, gamma: float = 0.0, max_degree: int = 0) -> None:
+    """Raise GraphError naming the setting when 2*lam*I + 2*gamma*L overflows.
+
+    max_degree is the largest concept degree of the skeleton, so the largest
+    entry is 2*lam + 2*gamma*max_degree; checked before the matrix is formed,
+    where inf * 0 would fill it with NaN.
+    """
+    if not math.isfinite(2.0 * lam):
+        raise GraphError(f"lam={lam} is too large: the prior precision 2*lam overflows")
+    if not math.isfinite(2.0 * lam + 2.0 * (gamma * max_degree)):  # no inf * 0
+        raise GraphError(f"gamma={gamma} is too large: the prior precision "
+                         "2*lam*I + 2*gamma*L overflows")
+
+
 def build_prior(graph: ConceptGraph, lam: float, gamma: float) -> StructuredPrior:
     """Assemble the structured prior and verify positive definiteness.
 
     lam must be strictly positive, otherwise the density is improper along
     the all-ones direction (and everywhere when gamma is 0); gamma must be
-    nonnegative.
+    nonnegative.  Settings whose precision overflows are refused.
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise GraphError(f"lam must be > 0, got {lam}")
@@ -156,6 +176,8 @@ def build_prior(graph: ConceptGraph, lam: float, gamma: float) -> StructuredPrio
     index = graph.index
     tail = np.array([index[n] for n, _ in graph.edges], dtype=np.intp)
     head = np.array([index[m] for _, m in graph.edges], dtype=np.intp)
+    degree = np.bincount(np.concatenate([tail, head]), minlength=c)
+    check_precision_finite(lam, gamma, int(degree.max(initial=0)))
     precision = 2.0 * lam * np.eye(c)
     if len(tail):
         lap = np.zeros((c, c))
@@ -164,11 +186,15 @@ def build_prior(graph: ConceptGraph, lam: float, gamma: float) -> StructuredPrio
         np.add.at(lap, (tail, head), -1.0)
         np.add.at(lap, (head, tail), -1.0)
         precision += 2.0 * gamma * lap
+    prior = StructuredPrior(graph, float(lam), float(gamma), precision, tail, head)
+    # the check factors the precision that `sample` reuses; it fails only
+    # when 2*gamma*L swamps 2*lam in rounding
     try:
-        np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:  # unreachable for lam > 0, kept as a guard
-        raise GraphError("precision matrix is not positive definite") from exc
-    return StructuredPrior(graph, float(lam), float(gamma), precision, tail, head)
+        prior.cholesky
+    except np.linalg.LinAlgError as exc:
+        raise GraphError(f"precision matrix is not positive definite at lam={lam}, "
+                         f"gamma={gamma}") from exc
+    return prior
 
 
 # -- graph file format --------------------------------------------------------

@@ -23,9 +23,13 @@ class DataError(ValueError):
     """Malformed interaction data or degenerate split."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
-    """One observed response event."""
+    """One observed response event.
+
+    Slotted: a loaded log holds one of these per row, so they carry no
+    per-instance __dict__.
+    """
 
     student_id: str
     item_id: str
@@ -101,12 +105,15 @@ class Dataset:
 _FIELDS = ("student_id", "item_id", "correct", "timestamp")
 
 
-def _coerce_row(student_id, item_id, correct, timestamp) -> InteractionRecord:
+def _coerce_row(ids: dict, student_id, item_id, correct, timestamp) -> InteractionRecord:
+    """One record from raw fields; `ids` maps each id seen so far to its one str."""
     c = int(str(correct).strip())
     ts = float(str(timestamp).strip())
     if not ts.is_integer():  # false for inf and nan as well
         raise DataError(f"timestamp {timestamp!r} is not an integer number of seconds")
-    return InteractionRecord(str(student_id), str(item_id), c, int(ts))
+    student_id, item_id = str(student_id), str(item_id)
+    return InteractionRecord(ids.setdefault(student_id, student_id),
+                             ids.setdefault(item_id, item_id), c, int(ts))
 
 
 def load_interactions(path, format: str = "csv", strict: bool = False) -> Dataset:
@@ -114,11 +121,14 @@ def load_interactions(path, format: str = "csv", strict: bool = False) -> Datase
 
     Malformed rows are skipped and recorded as (line_number, reason) pairs in
     Dataset.parse_errors; with strict=True any malformed row raises instead.
+    Records of one student, or of one item, share a single id string: the
+    parsers make a fresh str per row, which would otherwise be kept per record.
     """
     if format not in ("csv", "jsonl"):
         raise DataError(f"unknown format {format!r}")
     records: list[InteractionRecord] = []
     errors: list[tuple[int, str]] = []
+    ids: dict[str, str] = {}
 
     def bad(lineno, reason):
         if strict:
@@ -143,7 +153,7 @@ def load_interactions(path, format: str = "csv", strict: bool = False) -> Datase
                     bad(lineno, f"expected 4 fields, got {len(row)}")
                     continue
                 try:
-                    records.append(_coerce_row(*row))
+                    records.append(_coerce_row(ids, *row))
                 except (DataError, ValueError) as exc:
                     bad(lineno, str(exc))
         else:
@@ -158,7 +168,7 @@ def load_interactions(path, format: str = "csv", strict: bool = False) -> Datase
                     missing = [k for k in _FIELDS if k not in obj]
                     if missing:
                         raise DataError(f"missing keys: {', '.join(missing)}")
-                    records.append(_coerce_row(*(obj[k] for k in _FIELDS)))
+                    records.append(_coerce_row(ids, *(obj[k] for k in _FIELDS)))
                 except (DataError, ValueError) as exc:
                     bad(lineno, str(exc))
     return Dataset.from_records(records, errors)

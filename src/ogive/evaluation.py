@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .calibration import ItemBank
-from .concept_graph import ConceptGraph, StructuredPrior, build_prior
+from .concept_graph import ConceptGraph, StructuredPrior, build_prior, check_precision_finite
 from .dataio import Dataset
 from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map, padded_rows
 from .irt_core import PROB_FLOOR, TemporalConfig, effective_discriminations, probit
@@ -180,6 +180,11 @@ def _clamped_log_likelihood(p: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     return np.where(outcomes == 1, np.log(pc), np.log1p(-pc))
 
 
+def _check_bins(n_bins: int) -> None:
+    if not 1 <= n_bins <= MAX_BUCKETS:
+        raise ValueError(f"n_bins must be between 1 and {MAX_BUCKETS}, got {n_bins}")
+
+
 def bucket_by_student_percent_correct(
     probabilities: np.ndarray,
     outcomes: np.ndarray,
@@ -193,8 +198,7 @@ def bucket_by_student_percent_correct(
     Every bin is emitted, empty ones with None metrics, so the plot table has
     a fixed number of rows.
     """
-    if not 1 <= n_bins <= MAX_BUCKETS:
-        raise ValueError(f"n_bins must be between 1 and {MAX_BUCKETS}, got {n_bins}")
+    _check_bins(n_bins)
     buckets: list[BucketMetrics] = []
     if len(probabilities) == 0:
         return [
@@ -269,6 +273,7 @@ def model_prior(model: ModelVariant, prior_graph, bank: ItemBank):
     """
     ids, _, _, concepts = bank.arrays()
     if not model.is_vector:
+        check_precision_finite(model.lam)
         return np.array([[2.0 * model.lam]]), np.zeros(len(ids), dtype=np.intp), None
     prior = resolve_prior(model, prior_graph, bank)
     concept_to_idx = prior.graph.index
@@ -312,6 +317,7 @@ def run_online_evaluation(
     recent history event; under the wall clock elapsed time comes from
     timestamps divided by seconds_per_unit.
     """
+    _check_bins(n_buckets)
     temporal = TemporalConfig(model.nu2, clock, seconds_per_unit)
     _, alphas, betas, _ = bank.arrays()
     precision, item_concept, _ = model_prior(model, prior_graph, bank)

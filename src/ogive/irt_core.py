@@ -28,7 +28,7 @@ PROB_FLOOR = 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemParams:
     """Fixed parameters of one assessment item."""
 
@@ -49,7 +49,7 @@ class ItemParams:
             raise ValueError(f"item {self.item_id!r}: difficulty must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseEvent:
     """One observed response in a student's history."""
 

@@ -25,8 +25,9 @@ from .irt_core import STATIC, ItemParams, TemporalConfig, probit
 
 TRUTH_FORMAT_VERSION = "1"
 
-# generation holds every event in memory, about 220 bytes each on CPython 3.11,
-# so about 2.2 GB at the event limit
+# generation holds every event in memory: about 185 bytes each on CPython 3.11
+# (peak, wall-clock timestamps), plus 8 bytes per concept for the true path, so
+# about 1.9 GB at the event limit with few concepts
 MAX_SIMULATED_EVENTS = 10**7  # students x the largest response count
 MAX_BANK_ITEMS = 10**5  # concepts x items per concept
 

@@ -161,6 +161,23 @@ def test_non_finite_setting_is_a_user_error(sim_dir, tmp_path, capsys, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("evaluate", ["--model", "static_2po", "--lambda", "1e308"], "lam=1e+308 is too large"),
+    ("evaluate", ["--model", "correlated_mvn", "--gamma", "1e308"],
+     "gamma=1e+308 is too large"),
+    ("sweep", ["--model", "static_2po", "--lambda-grid", "1,1e308"], "lam=1e+308 is too large"),
+])
+def test_overflowing_prior_precision_is_a_user_error(sim_dir, tmp_path, capsys, command,
+                                                     flags, message):
+    assert run_cli(
+        command, "--data", str(sim_dir / "interactions.csv"),
+        "--bank", str(sim_dir / "true_bank.csv"), "--graph", str(sim_dir / "graph.txt"),
+        *flags, "--out", str(tmp_path / "out"),
+    ) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def run_setting(sim_dir, tmp_path, capsys, command, setting, form):
     """Run `command` with one `key: value` setting, from a config file or as a flag.
 

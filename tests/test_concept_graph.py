@@ -5,6 +5,8 @@ hand: 2*lam*I + 2*gamma*L with L the path-graph Laplacian gives
 [[3,-1,0],[-1,4,-1],[0,-1,3]] exactly.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,22 @@ def test_build_prior_validation():
         build_prior(g, lam=np.nan, gamma=0.0)
 
 
+@pytest.mark.parametrize("lam, gamma, message", [
+    (1e308, 0.0, "lam=1e+308 is too large"),
+    (1e308, 0.5, "lam=1e+308 is too large"),
+    (1.0, 1e308, "gamma=1e+308 is too large"),
+    (1.0, 6e307, "gamma=6e+307 is too large"),  # 2*gamma is finite, 2*gamma*degree 2 is not
+])
+def test_build_prior_refuses_an_overflowing_precision(lam, gamma, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        build_prior(chain_graph(3), lam=lam, gamma=gamma)
+
+
+def test_build_prior_gamma_without_edges_never_overflows():
+    prior = build_prior(ConceptGraph(("a", "b")), lam=1.0, gamma=1e308)
+    assert np.array_equal(prior.precision, 2.0 * np.eye(2))
+
+
 def test_value_matches_quadratic_form():
     prior = build_prior(chain_graph(3), lam=1.0, gamma=0.5)
     rng = np.random.default_rng(0)
@@ -184,6 +202,16 @@ def test_sample_covariance_matches_inverse_precision():
     assert draws.shape == (200_000, 3)
     emp = np.cov(draws.T)
     np.testing.assert_allclose(emp, np.linalg.inv(PREC_3CHAIN), atol=0.01)
+
+
+def test_sample_reuses_the_factor_bit_for_bit():
+    from scipy.linalg import solve_triangular
+
+    prior = build_prior(chain_graph(4), lam=0.7, gamma=0.5)
+    prior.sample(np.random.default_rng(1), size=2)
+    z = np.random.default_rng(5).standard_normal((4, 3))
+    fresh = solve_triangular(np.linalg.cholesky(prior.precision), z, trans="T", lower=True).T
+    assert np.array_equal(prior.sample(np.random.default_rng(5), size=3), fresh)
 
 
 def test_correlation_matrix_properties():

@@ -5,11 +5,17 @@ plus 1 other response keeps 4+1=5 and survives the minimum, which pins the
 rule order.
 """
 
+import copy
+import dataclasses
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ogive.concept_graph import chain_graph
 from ogive.dataio import (
     ByStudentFraction,
     ByTimeCutoff,
@@ -21,6 +27,8 @@ from ogive.dataio import (
     split_dataset,
     write_interactions,
 )
+from ogive.irt_core import ItemParams, ResponseEvent
+from ogive.simulate import SimulationScenario, generate
 
 
 def rec(sid, item, correct, ts):
@@ -85,6 +93,65 @@ def test_write_load_round_trip(tmp_path, format):
     d2 = load_interactions(path, format=format)
     assert d2.students == d.students
     assert d2.parse_errors == ()
+
+
+# -- the bulk record types ----------------------------------------------------
+
+RECORDS = {
+    "InteractionRecord": (rec("s1", "q7", 1, 100), "timestamp", 200),
+    "ItemParams": (ItemParams("q7", 1.3, -0.4, "c01"), "difficulty", 0.6),
+    "ResponseEvent": (ResponseEvent(ItemParams("q7", 1.3, -0.4), 0, 3, 12.0), "step_index", 4),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_bulk_records_are_slotted_and_frozen(name):
+    obj, field, _ = RECORDS[name]
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_bulk_records_round_trip_by_value(name):
+    obj, field, other = RECORDS[name]
+    twin = dataclasses.replace(obj)
+    assert twin == obj and twin is not obj and hash(twin) == hash(obj)
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert copied == obj and hash(copied) == hash(obj)
+    changed = dataclasses.replace(obj, **{field: other})
+    assert changed != obj and getattr(changed, field) == other
+    assert dataclasses.replace(changed, **{field: getattr(obj, field)}) == obj
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_load_shares_one_string_per_id(tmp_path, format):
+    d = dataset(rec("s1", "q17", 1, 1), rec("s2", "q17", 0, 2), rec("s1", "q18", 1, 3),
+                rec("s2", "q18", 1, 4), rec("s1", "q17", 0, 5))
+    path = tmp_path / f"log.{format}"
+    write_interactions(d, path, format=format)
+    students, items = {}, {}
+    for r in load_interactions(path, format=format).all_records():
+        assert students.setdefault(r.student_id, r.student_id) is r.student_id
+        assert items.setdefault(r.item_id, r.item_id) is r.item_id
+    assert list(students) == ["s1", "s2"] and list(items) == ["q17", "q18"]
+
+
+def test_loaded_rows_stay_small(tmp_path):
+    """A loaded log retains at most 150 bytes per row, ids and grouping included."""
+    path = tmp_path / "log.csv"
+    cohort = generate(SimulationScenario(seed=0, n_students=200, graph=chain_graph(5),
+                                         responses_per_student=100))
+    write_interactions(cohort.dataset, path)
+    del cohort
+    tracemalloc.start()
+    try:
+        data = load_interactions(path)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 20_000
+    assert retained / len(data) <= 150
 
 
 def test_empty_csv_file(tmp_path):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ogive
+from ogive import evaluation
 from ogive.calibration import ItemBank
 from ogive.concept_graph import ConceptGraph, build_prior, chain_graph
 from ogive.dataio import Dataset, InteractionRecord
@@ -221,6 +222,19 @@ def test_bucket_empty_input_and_validation():
     for n_bins in (MAX_BUCKETS + 1, 10**12):
         with pytest.raises(ValueError, match="n_bins must be between 1 and"):
             bucket_by_student_percent_correct(np.array([]), np.array([]), np.array([]), n_bins)
+
+
+@pytest.mark.parametrize("n_buckets", [0, MAX_BUCKETS + 1])
+def test_bucket_count_is_checked_before_scoring(monkeypatch, n_buckets):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scored events before checking n_buckets")
+
+    monkeypatch.setattr(evaluation, "batched_vector_map", unreachable)
+    bank = small_bank()
+    with pytest.raises(ValueError, match=f"n_bins must be between 1 and {MAX_BUCKETS}, "
+                                         f"got {n_buckets}"):
+        run_online_evaluation(streaming_data(bank), bank, ModelVariant.from_name("static_2po"),
+                              n_buckets=n_buckets)
 
 
 def test_bucket_with_auc_flag():

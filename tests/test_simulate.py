@@ -33,6 +33,20 @@ def scenario(**kw):
     return SimulationScenario(**base)
 
 
+@pytest.mark.parametrize("n_students", [1, 25])
+def test_generate_factors_the_prior_once(monkeypatch, n_students):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    generate(scenario(n_students=n_students))
+    assert calls == [(3, 3)]
+
+
 def test_bank_spec_validation():
     with pytest.raises(ValueError):
         ItemBankSpec(items_per_concept=0)
