@@ -5,11 +5,14 @@ students and update every item's difficulty and discrimination, repeating
 until the mean absolute parameter change is small.  With the other
 parameters fixed, each block is a one-concept probit MAP problem under a
 normal prior, so every half-step runs the batched Newton solver
-`batched_vector_map`: students over student-major rows, items over
-item-major rows, the item half-step as ITEM_SWEEPS sweeps of a difficulty
-block then a discrimination block clipped at the floor.  All blocks maximize
-the same penalized joint log-posterior, so the objective is nondecreasing
-across half-steps; that is checked every round.
+`newton_map`: students over student-major rows, items over item-major rows,
+the item half-step as ITEM_SWEEPS sweeps of a difficulty block then a
+discrimination block clipped at the floor.  All blocks maximize the same
+penalized joint log-posterior, so the objective is nondecreasing across
+half-steps; that is checked every round.  All blocks also evaluate the
+kernel at the same arguments on the same cells, so each block starts from
+the per-cell terms the previous one ended with, and the joint objective is
+the sum of their log-likelihoods: no kernel pass is repeated.
 
 The latent scale is pinned by the fixed student prior N(0, 0.5), the same
 prior the online models use, so calibrated banks feed inference without
@@ -26,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .dataio import DataError, Dataset
-from .inference import batched_vector_map, padded_rows
-from .irt_core import ItemParams, bernoulli_probit_terms
+from .inference import StackedLogPosterior, newton_map, padded_rows
+from .irt_core import ItemParams
 
 
 class CalibrationError(RuntimeError):
@@ -179,12 +182,24 @@ def calibrate(
     resp = np.array([r.correct for r in records], dtype=float)
     counts = {item_ids[j]: int(c) for j, c in enumerate(np.bincount(q_idx, minlength=n_items))}
 
-    # student-major rows for the student half-step, item-major for the item one
+    # student-major rows for the student half-step, item-major for the item
+    # one; records come student by student, so the valid cells of the student
+    # layout hold them in record order, row by row
     mask, ev_item, ev_resp = padded_rows(s_idx, n_students, q_idx, resp)
-    item_mask, item_student, item_resp = padded_rows(q_idx, n_items, s_idx, resp)
-    # every problem is one-concept, so every event reads the only coordinate
-    ev_concept = np.zeros(mask.shape, dtype=np.intp)
-    item_concept = np.zeros(item_mask.shape, dtype=np.intp)
+    item_mask, item_student, item_resp, item_record = padded_rows(
+        q_idx, n_items, s_idx, resp, np.arange(len(records)))
+    # the flat cell each cell of one layout reads in the other: the same
+    # record's, or record 0's for a padded cell, whose ll is then zeroed
+    from_students = np.flatnonzero(mask)[item_record]
+    item_cell = np.empty(len(records), dtype=np.intp)
+    item_cell[item_record[item_mask]] = np.flatnonzero(item_mask)
+    from_items = np.zeros(mask.shape, dtype=np.intp)
+    from_items[mask] = item_cell
+    # only the layouts are read from here on
+    del records, s_idx, q_idx, resp, item_record, item_cell
+    student_pad = None if mask.all() else ~mask
+    item_pad = None if item_mask.all() else ~item_mask
+    item_zero = np.zeros(item_mask.shape)
 
     lam_student = 1.0 / (2.0 * STUDENT_PRIOR_VARIANCE)
     student_precision = np.array([[2.0 * lam_student]])
@@ -195,14 +210,9 @@ def calibrate(
     beta = np.full(n_items, DIFFICULTY_PRIOR_MEAN)
     theta = np.zeros(n_students)
 
-    # each response's sign, folded into the kernel's argument
-    sign = np.where(resp > 0, 1.0, -1.0)
-
-    def joint_objective(th, a, b) -> float:
-        zs = a[q_idx] * (th[s_idx] - b[q_idx])
-        zs *= sign
-        ll, _, _ = bernoulli_probit_terms(zs)
-        value = float(ll.sum())
+    def joint_objective(ll, th, a, b) -> float:
+        """The joint log-posterior from the student layout's ll, summed in record order."""
+        value = float(ll[mask].sum())
         value -= lam_student * float(((th - STUDENT_PRIOR_MEAN) ** 2).sum())
         value -= float(((b - DIFFICULTY_PRIOR_MEAN) ** 2).sum()) / (
             2.0 * DIFFICULTY_PRIOR_VARIANCE
@@ -212,19 +222,42 @@ def calibrate(
         )
         return value
 
+    def relayout(terms, cells, pad):
+        """Move the list of per-cell terms to the other layout in place.
+
+        `cells` names each cell's source cell; one array at a time, so the
+        old layout's arrays are freed as the new ones are made.
+        """
+        for k, t in enumerate(terms):
+            terms[k] = np.take(t, cells)
+        if pad is not None:
+            terms[0][pad] = 0.0
+
+    def student_rows(a, b):
+        return StackedLogPosterior(np.where(mask, a[ev_item], 0.0), b[ev_item], ev_resp, None,
+                                   mask, student_precision, STUDENT_PRIOR_MEAN)
+
+    def discrimination_rows(th, b, rows=slice(None)):
+        a_eff = np.where(item_mask[rows], th[rows] - b[rows, None], 0.0)
+        return StackedLogPosterior(a_eff, item_zero[rows], item_resp[rows], None,
+                                   item_mask[rows], discrimination_precision,
+                                   DISCRIMINATION_PRIOR_MEAN)
+
+    # Every block evaluates the kernel at z = +-alpha*(theta - beta) on the same
+    # (student, item) cells: the student block forms it as (theta - beta)(+-alpha),
+    # the difficulty block as (beta - theta)(-+alpha), the discrimination block
+    # as alpha(+-(theta - beta)).  Negation, subtraction and multiplication are
+    # exact under those rearrangements, so each block starts from the per-cell
+    # terms the previous one ended with, and the joint objective is their sum.
+    terms = list(student_rows(alpha, beta).terms(theta[:, None]))
+    objective = joint_objective(terms[0], theta, alpha, beta)
     rounds_run = 0
     final_delta: Optional[float] = None
-    objective = joint_objective(theta, alpha, beta)
     for _ in range(config.max_outer_rounds):
         rounds_run += 1
 
-        a_eff = np.where(mask, alpha[ev_item], 0.0)
-        b_pad = beta[ev_item]
-        theta = batched_vector_map(
-            theta[:, None], a_eff, b_pad, ev_resp, ev_concept, mask, student_precision,
-            prior_mean=STUDENT_PRIOR_MEAN,
-        )[0][:, 0]
-        after_students = joint_objective(theta, alpha, beta)
+        theta = newton_map(student_rows(alpha, beta), theta[:, None], terms)[0][:, 0]
+        after_students = joint_objective(terms[0], theta, alpha, beta)
         slack = 1e-9 * max(1.0, abs(objective))
         if after_students < objective - slack:
             raise CalibrationError(
@@ -236,20 +269,25 @@ def calibrate(
         # probit in beta and z = (theta - beta) alpha one in alpha; each block
         # is strictly concave in one variable, so clipping alpha's maximizer
         # at the floor gives the constrained maximizer
+        relayout(terms, from_students, item_pad)
         th_items = theta[item_student]
         new_alpha, new_beta = alpha, beta
         for _ in range(ITEM_SWEEPS):
-            new_beta = batched_vector_map(
-                new_beta[:, None], np.where(item_mask, -new_alpha[:, None], 0.0), th_items,
-                item_resp, item_concept, item_mask, difficulty_precision,
-                prior_mean=DIFFICULTY_PRIOR_MEAN,
-            )[0][:, 0]
-            new_alpha = np.maximum(batched_vector_map(
-                new_alpha[:, None], np.where(item_mask, th_items - new_beta[:, None], 0.0),
-                np.zeros(item_mask.shape), item_resp, item_concept, item_mask,
-                discrimination_precision, prior_mean=DISCRIMINATION_PRIOR_MEAN,
-            )[0][:, 0], floor)
-        after_items = joint_objective(theta, new_alpha, new_beta)
+            new_beta = newton_map(StackedLogPosterior(
+                np.where(item_mask, -new_alpha[:, None], 0.0), th_items, item_resp, None,
+                item_mask, difficulty_precision, DIFFICULTY_PRIOR_MEAN,
+            ), new_beta[:, None], terms)[0][:, 0]
+            solved = newton_map(discrimination_rows(th_items, new_beta),
+                                new_alpha[:, None], terms)[0][:, 0]
+            new_alpha = np.maximum(solved, floor)
+            clipped = np.flatnonzero(new_alpha != solved)
+            if len(clipped):  # the solve's terms are at the unclipped alpha
+                fresh = discrimination_rows(th_items, new_beta, clipped).terms(
+                    new_alpha[clipped, None])
+                for t, f in zip(terms, fresh):
+                    t[clipped] = f
+        relayout(terms, from_items, student_pad)
+        after_items = joint_objective(terms[0], theta, new_alpha, new_beta)
         slack = 1e-9 * max(1.0, abs(after_students))
         if after_items < after_students - slack:
             raise CalibrationError(

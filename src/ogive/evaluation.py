@@ -23,7 +23,13 @@ from .calibration import ItemBank
 from .concept_graph import ConceptGraph, StructuredPrior, build_prior, check_precision_finite
 from .dataio import Dataset
 from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map, padded_rows
-from .irt_core import PROB_FLOOR, TemporalConfig, effective_discriminations, probit
+from .irt_core import (
+    PROB_FLOOR,
+    TemporalConfig,
+    check_drift_finite,
+    effective_discriminations,
+    probit,
+)
 
 REPORT_FORMAT_VERSION = "1"
 
@@ -352,6 +358,9 @@ def run_online_evaluation(
     # the step clock counts kept events, so column t - 1 sits at step t
     time_pad = temporal.event_time(np.broadcast_to(np.arange(1.0, width + 1), mask.shape),
                                    stamp_pad)
+    if not model.is_spc:  # elapsed times peak between each stream's first and last event
+        check_drift_finite(model.nu2, alpha_pad[mask].max(),
+                           (time_pad[np.arange(n_students), lengths - 1] - time_pad[:, 0]).max())
 
     probs = np.zeros((n_students, width))
     n_unconverged = 0
@@ -364,6 +373,8 @@ def run_online_evaluation(
             probs = np.where(denom > 0, prior_correct / np.maximum(denom, 1.0), 0.5)
     else:
         theta = np.zeros((n_students, len(precision)))
+        # one-concept objectives never read the coordinates, so they are not copied
+        one_concept = len(precision) == 1
         for t in range(1, width + 1):
             idx = np.flatnonzero(lengths >= t)
             col = t - 1
@@ -374,7 +385,8 @@ def run_online_evaluation(
                 b = beta_pad[idx, hist]
                 r = correct_pad[idx, hist]
                 th, conv, _ = batched_vector_map(
-                    theta[idx], a_eff, b, r, cidx_pad[idx, hist], None, precision,
+                    theta[idx], a_eff, b, r, None if one_concept else cidx_pad[idx, hist],
+                    None, precision,
                     solver.gradient_tolerance, solver.max_iterations,
                 )
                 theta[idx] = th

@@ -2,18 +2,22 @@
 
 Every model kind is one model: a per-concept probit with a Gaussian prior of
 precision P and mean m.  Scalar models are its one-concept case, P = [[2*lam]].
-`batched_vector_map` is the one solver: damped Newton with an Armijo
-backtracking line search, run in lockstep over S independent problems.  The
-objective is strictly concave whenever P is positive definite, so each
-maximizer is unique.  A row retires from the lockstep solve as soon as it
-converges or its line search stalls, and every later kernel call, step and
-linear solve runs on the live rows only.  Every array operation is
-elementwise per row, so each student's iterates, iteration count and
-convergence flag are bit-identical no matter which other students share the
-batch or when they retire.  The one exception is a coupled prior solved as a
-batch of one from the start: numpy multiplies a lone row by P through BLAS
-gemv, whose sums round differently from a batch's gemm, so its iterates may
-differ from the batched ones in the last bits.  `estimate_history` is the
+`newton_map` is the one solver: damped Newton with an Armijo backtracking
+line search, run in lockstep over the S independent problems of a
+`StackedLogPosterior`; `batched_vector_map` is its cold start from event
+arrays.  The solver takes and returns the kernel's per-cell terms, so a
+caller that already holds them at the starting point (calibration's blocks)
+skips that kernel pass.  The objective is strictly concave whenever P is
+positive definite, so each maximizer is unique.  A row retires from the
+lockstep solve as soon as it converges or its line search stalls, and every
+later kernel call, step and linear solve runs on the live rows only.  Every
+array operation is elementwise per row, so each student's iterates,
+iteration count and convergence flag are bit-identical no matter which
+other students share the batch or when they retire.  The one exception is a
+coupled prior solved as a batch of one from the start: numpy multiplies a
+lone row by P through BLAS gemv, whose sums round differently from a
+batch's gemm, so its iterates may differ from the batched ones in the last
+bits.  `estimate_history` is the
 one single-history core: it takes one history as the event columns the
 harness builds (discrimination, difficulty, outcome, clock time, coordinate)
 and is the same solver at S = 1, returning exactly its row.
@@ -36,6 +40,7 @@ from .irt_core import (
     ResponseEvent,
     TemporalConfig,
     bernoulli_probit_terms,
+    check_drift_finite,
     effective_discriminations,
     probit,
 )
@@ -122,10 +127,11 @@ def estimate_history(
     elapsed = now - times
     if np.any(elapsed < 0):
         raise ValueError(f"event {int(np.argmax(elapsed < 0))} is after now={now}")
+    check_drift_finite(nu2, alphas.max(), elapsed.max())
     a_eff = effective_discriminations(alphas, elapsed, nu2)
     theta, converged, iterations = batched_vector_map(
-        theta0, a_eff[None], betas[None], correct[None], concept_idx[None],
-        None, precision,
+        theta0, a_eff[None], betas[None], correct[None],
+        None if len(precision) == 1 else concept_idx[None], None, precision,
         solver.gradient_tolerance, solver.max_iterations,
     )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
@@ -201,12 +207,15 @@ class StackedLogPosterior:
     terms of its valid events, event j reading coordinate concept_idx[s, j].
     Called at an (S, C) theta it returns the (S,) values, the (S, C)
     gradients and the (S, C) diagonal of the data curvature; the Hessian of
-    row s is diag(curvature_s) - P.  mask None means every cell is valid.
-    What is fixed for a whole solve is built once here, not per call: the
-    response signs folded into the discriminations (signed_a), their squares
-    and the scatter indices.  `keep` drops retired rows from every later call.
-    With one concept every event reads the only coordinate, so the gather is
-    a broadcast and the scatter a row sum, and concept_idx is not read.
+    row s is diag(curvature_s) - P.  A call is two parts: `terms`, the kernel
+    pass, and `reduce`, which turns those per-cell terms into the three
+    results.  mask None means every cell is valid.  What is fixed for a
+    whole solve is built once here, not per call: the response signs folded
+    into the discriminations (signed_a), their squares and the scatter
+    indices.  `keep` drops retired rows from every later call.  With one
+    concept every event reads the only coordinate, so the gather is a
+    broadcast and the scatter a row sum, and concept_idx is not read (it may
+    be None).
     """
 
     def __init__(self, a_eff, beta, correct, concept_idx, mask, precision,
@@ -241,22 +250,35 @@ class StackedLogPosterior:
             self.concept_idx = self.concept_idx[rows]
             self._scatter_index()
 
-    def __call__(self, theta: np.ndarray):
-        dev = theta - self.prior_mean
+    def terms(self, theta: np.ndarray):
+        """The kernel pass at an (S, C) theta: per-cell (ll, mills, d2), padded ll 0.
+
+        These are the kernel's outputs in the signed argument, before the
+        discriminations scale them, so any objective that forms the same
+        arguments on the same cells can reduce them.
+        """
         if self.one_concept:
             zs = theta - self.beta
         else:
             zs = np.take_along_axis(theta, self.concept_idx, axis=1)
             zs -= self.beta
         zs *= self.signed_a
-        ll, d1, d2 = bernoulli_probit_terms(zs)
-        d1 *= self.signed_a  # the gradient term: sign * a_eff * mills
-        d2 *= self.a_sq
+        ll, mills, d2 = bernoulli_probit_terms(zs)
+        if self.pad is not None:
+            ll[self.pad] = 0.0
+        return ll, mills, d2
+
+    def reduce(self, theta: np.ndarray, terms):
+        """(value, grad, curv) at theta from its per-cell terms, which stay unchanged."""
+        ll, mills, d2 = terms
+        dev = theta - self.prior_mean
+        cells = np.multiply(mills, self.signed_a)  # the gradient term: sign * a_eff * mills
         if self.one_concept:
             p = self.precision[0, 0]
             value = -(0.5 * p) * dev[:, 0] ** 2
-            grad = -(dev * p) + d1.sum(axis=1, keepdims=True)
-            curv = d2.sum(axis=1, keepdims=True)
+            grad = -(dev * p) + cells.sum(axis=1, keepdims=True)
+            np.multiply(d2, self.a_sq, out=cells)
+            curv = cells.sum(axis=1, keepdims=True)
         else:
             if self.batched and len(dev) == 1:
                 p_dev = (np.concatenate((dev, dev)) @ self.precision)[:1]
@@ -265,15 +287,17 @@ class StackedLogPosterior:
             value = -0.5 * np.einsum("sc,sc->s", dev, p_dev)
             size = self.shape[0] * self.shape[1]
             grad = -p_dev + np.bincount(
-                self.flat_idx, weights=d1.ravel(), minlength=size
+                self.flat_idx, weights=cells.ravel(), minlength=size
             ).reshape(self.shape)
+            np.multiply(d2, self.a_sq, out=cells)
             curv = np.bincount(
-                self.flat_idx, weights=d2.ravel(), minlength=size
+                self.flat_idx, weights=cells.ravel(), minlength=size
             ).reshape(self.shape)
-        if self.pad is not None:
-            ll[self.pad] = 0.0
         value += ll.sum(axis=1)
         return value, grad, curv
+
+    def __call__(self, theta: np.ndarray):
+        return self.reduce(theta, self.terms(theta))
 
 
 def batched_vector_map(
@@ -281,7 +305,7 @@ def batched_vector_map(
     a_eff: np.ndarray,
     beta: np.ndarray,
     correct: np.ndarray,
-    concept_idx: np.ndarray,
+    concept_idx: Optional[np.ndarray],
     mask: Optional[np.ndarray],
     precision: np.ndarray,
     tol: float = 1e-8,
@@ -291,18 +315,35 @@ def batched_vector_map(
     """Solve S independent MAP problems sharing one prior precision and mean.
 
     theta0 is (S, C); event arrays are (S, T); concept_idx holds the coordinate
-    each event reads (0 on padded cells, all 0 when C == 1); mask None means
-    every cell is valid.  A diagonal precision takes the elementwise Newton
-    step, a coupled one a batched linear solve.  A row is done when its
-    max-abs gradient entry drops to tol (converged) or its line search finds
-    no acceptable step (stalled); done rows retire, and every later
-    evaluation, step and solve runs on the live rows only.  Returns (theta,
-    converged, iterations) with shapes (S, C), (S,) bool and (S,) int.
+    each event reads (0 on padded cells) and may be None when C == 1; mask
+    None means every cell is valid.  `newton_map` from a cold start, returning
+    (theta, converged, iterations) with shapes (S, C), (S,) bool and (S,) int.
     """
     objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, mask,
                                     precision, prior_mean)
+    return newton_map(objective, theta0, None, tol, max_iter)
+
+
+def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
+               tol: float = 1e-8, max_iter: int = 100):
+    """Maximize every row of `objective` from theta0: the one Newton solver.
+
+    terms is the list [ll, mills, d2] of per-cell terms at theta0, or None
+    to compute them for the first evaluation only.  It must equal
+    `objective.terms(theta0)` bit for bit on valid cells and in ll; padded
+    mills and d2 need only be finite and of the kernel's sign, since the
+    zero discriminations there turn them into the same signed zeros.  A list
+    passed in is updated in place to the terms at each row's solution.
+    A diagonal precision takes the elementwise Newton step, a
+    coupled one a batched linear solve.  A row is done when its max-abs
+    gradient entry drops to tol (converged) or its line search finds no
+    acceptable step (stalled); done rows retire, and every later
+    evaluation, step and solve runs on the live rows only.  Returns (theta,
+    converged, iterations) with shapes (S, C), (S,) bool and (S,) int.
+    """
     theta = np.array(theta0, dtype=float, copy=True)
     n_students, n_concepts = theta.shape
+    precision = objective.precision
     p_diag = np.diagonal(precision)
     # a positive definite precision has a nonzero diagonal, so this counts
     # whether any off-diagonal entry is nonzero
@@ -310,7 +351,9 @@ def batched_vector_map(
     diag = np.arange(n_concepts)
 
     theta_out = np.empty_like(theta)
-    value, grad, curv = objective(theta)
+    keep = terms is not None
+    value, grad, curv = objective.reduce(
+        theta, terms if keep else objective.terms(theta))
     live = np.arange(n_students)  # solve row of each live row
     iterations = np.zeros(n_students, dtype=np.int64)
     converged = np.zeros(n_students, dtype=bool)
@@ -347,13 +390,23 @@ def batched_vector_map(
         for _ in range(MAX_BACKTRACKS):
             # rows that no longer need a step are evaluated but never taken
             cand = theta + step[:, None] * direction
-            v2, g2, c2 = objective(cand)
+            cand_terms = objective.terms(cand)
+            v2, g2, c2 = objective.reduce(cand, cand_terms)
             ok = need & np.isfinite(v2) & (v2 >= value + ARMIJO_C1 * step * slope - slack)
             take = ok[:, None]
             np.copyto(theta, cand, where=take)
             np.copyto(grad, g2, where=take)
             np.copyto(curv, c2, where=take)
             value = np.where(ok, v2, value)
+            # terms stay one row per problem; retired rows hold their solution's
+            if keep and ok.any():
+                if ok.all() and len(live) == n_students:
+                    terms[:] = cand_terms
+                else:
+                    taken = slice(None) if ok.all() else ok
+                    for kept, cand_kept in zip(terms, cand_terms):
+                        kept[live[ok]] = cand_kept[taken]
+            del cand_terms  # freed before the next candidate's kernel pass
             need &= ~ok
             if not need.any():
                 break

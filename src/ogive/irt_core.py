@@ -126,6 +126,25 @@ def effective_discriminations(alphas: np.ndarray, elapsed: np.ndarray,
     return alphas / np.sqrt(1.0 + alphas * alphas * (nu2 * elapsed))
 
 
+def check_drift_finite(nu2: float, max_alpha: float, max_elapsed: float) -> None:
+    """Raise ValueError naming nu2 when alpha^2 * nu2 * elapsed overflows.
+
+    Checked once on the largest discrimination and elapsed time of a call,
+    grouped as `effective_discriminations` groups it: the product only grows
+    with either, so where it is finite there it is finite on every event.
+    Past that a response would silently get discrimination 0.
+    """
+    if nu2 == 0.0:
+        return
+    # Python floats overflow to inf without numpy's warning
+    nu2, max_alpha, max_elapsed = float(nu2), float(max_alpha), float(max_elapsed)
+    if not math.isfinite(max_alpha * max_alpha * (nu2 * max_elapsed)):
+        raise ValueError(
+            f"nu2={nu2} is too large: alpha^2 * nu2 * elapsed overflows (largest "
+            f"discrimination {max_alpha}, largest elapsed time {max_elapsed})"
+        )
+
+
 def gaussian_probit_integral(alpha: float, beta: float, mu: float,
                              sigma2: float) -> float:
     """Expectation of Phi(alpha*(x-beta)) under x ~ Normal(mu, sigma2).

@@ -26,9 +26,10 @@ from .irt_core import STATIC, ItemParams, TemporalConfig, probit
 TRUTH_FORMAT_VERSION = "1"
 
 # generation holds every event in memory: about 185 bytes each on CPython 3.11
-# (peak, wall-clock timestamps), plus 8 bytes per concept for the true path, so
-# about 1.9 GB at the event limit with few concepts
+# (peak, wall-clock timestamps), so about 1.9 GB at the event limit, plus the
+# true path of every event, 8 bytes per concept, so at most 0.8 GB of paths
 MAX_SIMULATED_EVENTS = 10**7  # students x the largest response count
+MAX_PATH_ENTRIES = 10**8  # students x the largest response count x concepts
 MAX_BANK_ITEMS = 10**5  # concepts x items per concept
 
 
@@ -82,6 +83,10 @@ class SimulationScenario:
         if events > MAX_SIMULATED_EVENTS:
             raise ValueError(f"n_students x responses_per_student must be <= "
                              f"{MAX_SIMULATED_EVENTS}, got {events}")
+        if events * self.graph.n_concepts > MAX_PATH_ENTRIES:
+            raise ValueError(f"n_students x responses_per_student x concepts must be <= "
+                             f"{MAX_PATH_ENTRIES} (the true paths), got "
+                             f"{events} x {self.graph.n_concepts}")
         n_items = self.graph.n_concepts * self.bank_spec.items_per_concept
         if n_items > MAX_BANK_ITEMS:
             raise ValueError(f"concepts x items_per_concept must be <= {MAX_BANK_ITEMS}, "

@@ -6,7 +6,10 @@ Hessian).  Both are concave.  The checks C2/C3 probe them by finite
 differences and eigenvalues, and the solver tests check that the batched
 solve lands on their maximizer.  `unsigned_probit_terms` is the kernel as it
 was written before the response sign moved out of it, kept as the bit-for-bit
-oracle of the signed kernel.
+oracle of the signed kernel.  `calibrate_with_fresh_passes` is the
+calibration loop as it was before its blocks shared per-cell terms: every
+block starts with its own kernel pass and the joint objective makes one
+more, kept as the bit-for-bit oracle of `calibrate`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import log_ndtr
 
+from ogive import calibration
 from ogive.concept_graph import StructuredPrior
+from ogive.inference import batched_vector_map, padded_rows
 from ogive.irt_core import (
     _LOG_SQRT_2PI,
     _TAIL_Z,
@@ -153,3 +158,80 @@ def approx_log_posterior_vector(theta_vec: np.ndarray,
     hess = -prior.precision.copy()
     np.add.at(hess, (concept_idx, concept_idx), a_eff * a_eff * d2)
     return VectorObjectiveValue(value, grad, hess)
+
+
+def calibrate_with_fresh_passes(training, config):
+    """(item ids, alpha, beta, rounds, final_delta, objective, floored ids) of the old loop.
+
+    Each of a round's blocks is a cold `batched_vector_map` call, and the
+    joint objective is a separate kernel pass in record order.
+    """
+    c = calibration
+    records = training.all_records()
+    students = list(training.students)
+    s_index = {s: i for i, s in enumerate(students)}
+    item_ids = list(dict.fromkeys(r.item_id for r in records))
+    q_index = {q: j for j, q in enumerate(item_ids)}
+    n_students, n_items = len(students), len(item_ids)
+    s_idx = np.array([s_index[r.student_id] for r in records])
+    q_idx = np.array([q_index[r.item_id] for r in records])
+    resp = np.array([r.correct for r in records], dtype=float)
+    mask, ev_item, ev_resp = padded_rows(s_idx, n_students, q_idx, resp)
+    item_mask, item_student, item_resp = padded_rows(q_idx, n_items, s_idx, resp)
+    ev_concept = np.zeros(mask.shape, dtype=np.intp)
+    item_concept = np.zeros(item_mask.shape, dtype=np.intp)
+    lam_student = 1.0 / (2.0 * c.STUDENT_PRIOR_VARIANCE)
+    student_precision = np.array([[2.0 * lam_student]])
+    difficulty_precision = np.array([[1.0 / c.DIFFICULTY_PRIOR_VARIANCE]])
+    discrimination_precision = np.array([[1.0 / c.DISCRIMINATION_PRIOR_VARIANCE]])
+    floor = config.discrimination_floor
+    alpha = np.full(n_items, max(c.DISCRIMINATION_PRIOR_MEAN, floor))
+    beta = np.full(n_items, c.DIFFICULTY_PRIOR_MEAN)
+    theta = np.zeros(n_students)
+    sign = np.where(resp > 0, 1.0, -1.0)
+
+    def joint_objective(th, a, b) -> float:
+        zs = a[q_idx] * (th[s_idx] - b[q_idx])
+        zs *= sign
+        ll, _, _ = bernoulli_probit_terms(zs)
+        value = float(ll.sum())
+        value -= lam_student * float(((th - c.STUDENT_PRIOR_MEAN) ** 2).sum())
+        value -= float(((b - c.DIFFICULTY_PRIOR_MEAN) ** 2).sum()) / (
+            2.0 * c.DIFFICULTY_PRIOR_VARIANCE)
+        value -= float(((a - c.DISCRIMINATION_PRIOR_MEAN) ** 2).sum()) / (
+            2.0 * c.DISCRIMINATION_PRIOR_VARIANCE)
+        return value
+
+    rounds_run, final_delta = 0, None
+    objective = joint_objective(theta, alpha, beta)
+    for _ in range(config.max_outer_rounds):
+        rounds_run += 1
+        theta = batched_vector_map(
+            theta[:, None], np.where(mask, alpha[ev_item], 0.0), beta[ev_item], ev_resp,
+            ev_concept, mask, student_precision, prior_mean=c.STUDENT_PRIOR_MEAN,
+        )[0][:, 0]
+        after_students = joint_objective(theta, alpha, beta)
+        assert after_students >= objective - 1e-9 * max(1.0, abs(objective))
+        th_items = theta[item_student]
+        new_alpha, new_beta = alpha, beta
+        for _ in range(c.ITEM_SWEEPS):
+            new_beta = batched_vector_map(
+                new_beta[:, None], np.where(item_mask, -new_alpha[:, None], 0.0), th_items,
+                item_resp, item_concept, item_mask, difficulty_precision,
+                prior_mean=c.DIFFICULTY_PRIOR_MEAN,
+            )[0][:, 0]
+            new_alpha = np.maximum(batched_vector_map(
+                new_alpha[:, None], np.where(item_mask, th_items - new_beta[:, None], 0.0),
+                np.zeros(item_mask.shape), item_resp, item_concept, item_mask,
+                discrimination_precision, prior_mean=c.DISCRIMINATION_PRIOR_MEAN,
+            )[0][:, 0], floor)
+        after_items = joint_objective(theta, new_alpha, new_beta)
+        assert after_items >= after_students - 1e-9 * max(1.0, abs(after_students))
+        final_delta = float(
+            np.mean(np.concatenate([np.abs(new_alpha - alpha), np.abs(new_beta - beta)])))
+        alpha, beta, objective = new_alpha, new_beta, after_items
+        if final_delta < config.convergence_delta:
+            break
+    floored = tuple(q for q, a in zip(item_ids, alpha) if a <= floor * (1.0 + 1e-9))
+    return (item_ids, alpha, beta, rounds_run, final_delta,
+            objective if rounds_run else None, floored)

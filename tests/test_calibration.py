@@ -10,7 +10,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
-from ogive import calibration
+import reference_objectives
+from ogive import calibration, inference
 from ogive.calibration import (
     ITEM_SWEEPS,
     CalibrationConfig,
@@ -266,3 +267,84 @@ def test_recovery_correlations_perfect_and_errors():
     other = make_bank([ItemParams("a", 1.0, 0.0), ItemParams("z", 1.0, 0.0)])
     with pytest.raises(DataError, match="2 shared"):
         recovery_correlations(bank, other)
+
+
+def _ragged_training():
+    """Students of 3 to 40 responses, so both layouts carry padded cells."""
+    training, _ = synthetic_training(12, 50, 10, 40)
+    return Dataset({sid: recs[: 3 + (7 * k) % 38]
+                    for k, (sid, recs) in enumerate(training.students.items())})
+
+
+CALIBRATION_FIXTURES = {
+    "even": lambda: (synthetic_training(11, 60, 12, 25)[0], CalibrationConfig(10)),
+    "ragged": lambda: (_ragged_training(), CalibrationConfig(10)),
+    "floor-clipped": lambda: (synthetic_training(11, 60, 12, 25)[0],
+                              CalibrationConfig(10, discrimination_floor=1.3)),
+    "to-tolerance": lambda: (synthetic_training(13, 30, 6, 20)[0],
+                             CalibrationConfig(200, convergence_delta=1e-4)),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CALIBRATION_FIXTURES))
+def test_calibrate_is_bit_identical_to_fresh_kernel_passes(fixture):
+    # every block starts from the terms the previous block ended with, and the
+    # joint objective sums them; the loop that evaluates everything afresh
+    # must give the same bank and metadata bit for bit
+    training, cfg = CALIBRATION_FIXTURES[fixture]()
+    fitted = calibrate(training, cfg)
+    ids, alpha, beta, rounds, final_delta, objective, floored = \
+        reference_objectives.calibrate_with_fresh_passes(training, cfg)
+    assert list(fitted.items) == ids
+    _, got_alpha, got_beta, _ = fitted.arrays()
+    assert got_alpha.tobytes() == alpha.tobytes()
+    assert got_beta.tobytes() == beta.tobytes()
+    meta = fitted.meta
+    assert (meta.rounds, meta.final_delta, meta.objective, meta.floored_items) == (
+        rounds, final_delta, objective, floored)
+    if fixture == "floor-clipped":
+        assert 0 < len(floored) < len(ids)
+    if fixture == "to-tolerance":
+        assert final_delta < cfg.convergence_delta and rounds < cfg.max_outer_rounds
+
+
+def test_calibrate_evaluates_at_most_seven_tenths_of_the_kernel_cells(monkeypatch):
+    training, cfg = CALIBRATION_FIXTURES["ragged"]()
+    kernel = inference.bernoulli_probit_terms
+    cells = []
+
+    def counting(zs):
+        cells.append(zs.size)
+        return kernel(zs)
+
+    monkeypatch.setattr(inference, "bernoulli_probit_terms", counting)
+    monkeypatch.setattr(reference_objectives, "bernoulli_probit_terms", counting)
+    reference_objectives.calibrate_with_fresh_passes(training, cfg)
+    reference_cells, cells[:] = sum(cells), []
+    calibrate(training, cfg)
+    assert sum(cells) <= 0.7 * reference_cells
+
+
+@pytest.mark.parametrize("fixture", ["ragged", "floor-clipped"])
+def test_every_block_starts_from_the_terms_at_its_start(monkeypatch, fixture):
+    # the terms a block inherits are those a fresh kernel pass would give at its
+    # starting point: equal on valid cells, ll 0 on padded ones, and padded
+    # mills and d2 finite with the kernel's signs
+    solve = calibration.newton_map
+    blocks = []
+
+    def checked(objective, theta0, terms, *args, **kwargs):
+        fresh = objective.terms(theta0)
+        valid = ~objective.pad if objective.pad is not None else slice(None)
+        assert terms[0].tobytes() == fresh[0].tobytes()
+        for got, want in zip(terms[1:], fresh[1:]):
+            assert got[valid].tobytes() == want[valid].tobytes()
+            assert np.isfinite(got).all()
+            assert (np.signbit(got) == np.signbit(want)).all()
+        blocks.append(len(theta0))
+        return solve(objective, theta0, terms, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "newton_map", checked)
+    training, cfg = CALIBRATION_FIXTURES[fixture]()
+    calibrate(training, cfg)
+    assert len(blocks) == cfg.max_outer_rounds * (1 + 2 * ITEM_SWEEPS)

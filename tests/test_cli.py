@@ -178,6 +178,35 @@ def test_overflowing_prior_precision_is_a_user_error(sim_dir, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ["--model", "temporal_2po", "--nu2", "1e308"]),
+    ("evaluate", ["--model", "tskirt", "--nu2", "1e308"]),
+    ("sweep", ["--model", "temporal_2po", "--nu2-grid", "0.1,1e308"]),
+    ("predict", ["--model", "temporal_2po", "--nu2", "1e308"]),
+    ("predict", ["--model", "tskirt", "--nu2", "1e308"]),
+])
+def test_overflowing_drift_is_a_user_error(sim_dir, tmp_path, capsys, command, flags):
+    # nu2 * elapsed * alpha^2 past float range would score every past response
+    # at discrimination 0; it is refused once per call, naming nu2
+    data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
+    inputs = {
+        "evaluate": ["--data", data],
+        "sweep": ["--data", data],
+        "predict": ["--history", data, "--student", "s0001", "--items", "q0001"],
+    }[command]
+    assert run_cli(command, *inputs, "--bank", bank, "--graph", str(sim_dir / "graph.txt"),
+                   *flags, "--out", str(tmp_path / "out")) == 2
+    assert "nu2=1e+308 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_finite_drift_still_runs(sim_dir, tmp_path):
+    # 20-step streams of discriminations below 2.5: the product stays finite
+    assert run_cli("evaluate", "--data", str(sim_dir / "interactions.csv"),
+                   "--bank", str(sim_dir / "true_bank.csv"), "--model", "temporal_2po",
+                   "--nu2", "1e306", "--out", str(tmp_path / "out")) == 0
+
+
 def run_setting(sim_dir, tmp_path, capsys, command, setting, form):
     """Run `command` with one `key: value` setting, from a config file or as a flag.
 

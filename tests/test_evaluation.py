@@ -616,3 +616,27 @@ def test_summary_table_layout():
     assert lines[2].startswith("spc")
     assert "n/a" in lines[2]  # spc has no ranking score
     assert lines[3].startswith("static_2po")
+
+
+@pytest.mark.parametrize("kind", ["static_2po", "temporal_2po", "correlated_mvn", "tskirt"])
+def test_one_concept_steps_copy_no_coordinates(monkeypatch, kind):
+    # a one-concept objective never reads the coordinate each event reads, so
+    # the harness passes None; handing it the all-zero columns gives the same bits
+    bank = small_bank()
+    data = streaming_data(bank, n_students=6, n_events=15)
+    model = ModelVariant.from_name(kind)
+    graph = ConceptGraph(("c01", "c02"), (("c01", "c02"),))
+    report = run_online_evaluation(data, bank, model, graph)
+    solve = evaluation.batched_vector_map
+    seen = []
+
+    def zero_columns(theta0, a_eff, beta, correct, concept_idx, *rest, **kw):
+        seen.append(concept_idx is None)
+        if concept_idx is None:
+            concept_idx = np.zeros(a_eff.shape, dtype=np.intp)
+        return solve(theta0, a_eff, beta, correct, concept_idx, *rest, **kw)
+
+    monkeypatch.setattr(evaluation, "batched_vector_map", zero_columns)
+    with_columns = run_online_evaluation(data, bank, model, graph)
+    assert seen and set(seen) == {model.is_scalar}
+    assert report.probabilities.tobytes() == with_columns.probabilities.tobytes()

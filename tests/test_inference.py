@@ -24,9 +24,11 @@ from ogive.inference import (
     DEFAULT_SOLVER,
     ProficiencyEstimate,
     SolverConfig,
+    StackedLogPosterior,
     batched_vector_map,
     estimate_history,
     map_estimate_vector,
+    newton_map,
     predict_next,
 )
 from ogive.irt_core import (
@@ -546,3 +548,51 @@ def test_kernel_sees_only_the_live_rows(monkeypatch):
     assert all(n <= 5 * width for n in cells[1:])
     # every later retirement shrinks the batch further, until one row is left
     assert cells == sorted(cells, reverse=True) and cells[-1] == width
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [100, 3])
+@pytest.mark.parametrize("prior", ["one_concept", "chain"])
+def test_newton_map_from_supplied_terms_matches_a_cold_start(prior, max_iter):
+    # the core started from the terms at theta0 takes the same steps as a cold
+    # start, and hands back the terms at each row's solution, however late the
+    # row retired or if it never converged
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(34)
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(rng, len(precision))
+    assert not mask.all()
+    cidx = None if len(precision) == 1 else cidx
+
+    def rows():
+        return StackedLogPosterior(a, beta, correct, cidx, mask, precision, 0.25)
+
+    cold = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision,
+                              max_iter=max_iter, prior_mean=0.25)
+    terms = list(rows().terms(theta0))
+    warm = newton_map(rows(), theta0, terms, max_iter=max_iter)
+    for got, want in zip(warm, cold):
+        _assert_same_bits(got, want)
+    theta, converged, iterations = warm
+    assert len(np.unique(iterations)) > 1
+    assert converged.all() == (max_iter == 100)
+    fresh = rows().terms(theta)
+    for got, want in zip(terms, fresh):  # the list passed in, updated in place
+        _assert_same_bits(got, want)
+    assert not fresh[0][~mask].any()  # padded cells carry ll 0
+
+
+def test_call_is_the_kernel_pass_then_the_reduction():
+    precision = RETIREMENT_PRIORS["chain"]
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(35),
+                                                          len(precision))
+    rows = StackedLogPosterior(a, beta, correct, cidx, mask, precision, 0.25)
+    terms = rows.terms(theta0)
+    kept = [t.copy() for t in terms]
+    for got, want in zip(rows(theta0), rows.reduce(theta0, terms)):
+        _assert_same_bits(got, want)
+    for got, want in zip(terms, kept):  # the reduction leaves the terms alone
+        _assert_same_bits(got, want)

@@ -1,6 +1,7 @@
 """Unit tests for the probit response kernel and the reference log-posteriors."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -15,12 +16,13 @@ from ogive.irt_core import (
     ResponseEvent,
     TemporalConfig,
     bernoulli_probit_terms,
+    check_drift_finite,
     effective_discriminations,
     gaussian_probit_integral,
     probit,
 )
 from ogive.concept_graph import build_prior, chain_graph
-from ogive.inference import ProficiencyEstimate, predict_next
+from ogive.inference import ProficiencyEstimate, estimate_history, predict_next
 from reference_objectives import (
     approx_log_posterior_scalar,
     approx_log_posterior_vector,
@@ -361,3 +363,24 @@ def test_vector_log_posterior_reduces_to_scalar_on_one_concept():
         assert vec.value == pytest.approx(sca.value, rel=1e-12, abs=1e-12)
         assert vec.gradient[0] == pytest.approx(sca.gradient, rel=1e-12, abs=1e-12)
         assert vec.hessian[0, 0] == pytest.approx(sca.curvature, rel=1e-12, abs=1e-12)
+
+
+def test_drift_check_refuses_only_an_overflowing_product():
+    check_drift_finite(0.0, 1e200, 1e300)  # nu2 = 0 never forms the product
+    check_drift_finite(1e300, 2.0, 100.0)
+    check_drift_finite(np.float64(1e300), np.float64(2.0), np.float64(100.0))
+    big = np.finfo(float).max
+    for nu2, alpha, elapsed in ((big, 1.0, 2.0), (1e300, 1e5, 1.0), (1.0, 1e155, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"nu2={nu2} is too large")):
+            check_drift_finite(nu2, alpha, elapsed)
+
+
+def test_estimate_history_checks_the_drift_once_before_solving():
+    alphas, betas = np.array([1.5, 0.8, 2.0]), np.array([0.0, -0.5, 0.3])
+    correct, times = np.array([1.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0])
+    concept = np.zeros(3, dtype=np.intp)
+    with pytest.raises(ValueError, match=re.escape("nu2=1e+308 is too large")):
+        estimate_history(alphas, betas, correct, times, 4.0, 1e308, np.array([[2.0]]), concept)
+    estimate = estimate_history(alphas, betas, correct, times, 4.0, 1e300, np.array([[2.0]]),
+                                concept)
+    assert estimate.converged and np.isfinite(estimate.theta).all()

@@ -15,6 +15,7 @@ from ogive.concept_graph import chain_graph
 from ogive.irt_core import STATIC, TemporalConfig
 from ogive.simulate import (
     MAX_BANK_ITEMS,
+    MAX_PATH_ENTRIES,
     MAX_SIMULATED_EVENTS,
     ItemBankSpec,
     SimulationScenario,
@@ -98,6 +99,18 @@ def test_scenario_counts_are_bounded():
     for per in (MAX_BANK_ITEMS // 10 + 1, 10**12):
         with pytest.raises(ValueError, match="concepts x items_per_concept must be <="):
             scenario(graph=chain_graph(10), bank_spec=ItemBankSpec(per))
+
+
+def test_true_paths_are_bounded():
+    """Every event keeps its true proficiency on every concept: events x concepts is bounded."""
+    chain = chain_graph(1000)
+    assert scenario(graph=chain, bank_spec=ItemBankSpec(1),
+                    n_students=MAX_PATH_ENTRIES // 2000, responses_per_student=2)
+    for kw in ({"n_students": 60_000, "responses_per_student": 2},
+               {"n_students": 10, "responses_per_student": (1, 10**4 + 1)}):
+        with pytest.raises(ValueError,
+                           match="n_students x responses_per_student x concepts must be <="):
+            scenario(graph=chain, bank_spec=ItemBankSpec(1), **kw)
 
 
 def test_same_seed_reproduces_everything():
