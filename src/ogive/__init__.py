@@ -48,13 +48,11 @@ from .irt_core import (
     ItemParams,
     ResponseEvent,
     TemporalConfig,
-    gaussian_probit_integral,
     probit,
 )
 from .simulate import (
     ItemBankSpec,
     SimulationScenario,
-    empirical_step_variance,
     generate,
     write_truth,
 )

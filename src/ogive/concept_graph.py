@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import graphlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -88,40 +88,13 @@ def chain_graph(n: int) -> ConceptGraph:
 class StructuredPrior:
     """Gaussian prior over the concept-proficiency vector.
 
-    Built by `build_prior`; carries the precision matrix 2*lam*I + 2*gamma*L
-    and precomputed edge index arrays for fast quadratic-form evaluation.
+    Built by `build_prior`; carries the precision matrix 2*lam*I + 2*gamma*L.
     """
 
     graph: ConceptGraph
     lam: float
     gamma: float
     precision: np.ndarray
-    edge_tail: np.ndarray = field(repr=False, default=None)
-    edge_head: np.ndarray = field(repr=False, default=None)
-
-    def value_and_grad(self, theta: np.ndarray):
-        """Unnormalized log-density and its gradient at theta.
-
-        Uses the direct sum formula; the coupling loop is skipped entirely
-        when gamma == 0 so the factorial special case costs nothing extra.
-        """
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.graph.n_concepts,):
-            raise GraphError(
-                f"theta has shape {theta.shape}, expected ({self.graph.n_concepts},)"
-            )
-        value = -self.lam * float(theta @ theta)
-        grad = -2.0 * self.lam * theta
-        if self.gamma != 0.0 and len(self.edge_tail):
-            diff = theta[self.edge_tail] - theta[self.edge_head]
-            value -= self.gamma * float(diff @ diff)
-            np.add.at(grad, self.edge_tail, -2.0 * self.gamma * diff)
-            np.add.at(grad, self.edge_head, 2.0 * self.gamma * diff)
-        return value, grad
-
-    def log_density(self, theta: np.ndarray) -> float:
-        """Unnormalized log-density -lam*sum(theta^2) - gamma*sum((theta_n-theta_m)^2)."""
-        return self.value_and_grad(theta)[0]
 
     @cached_property
     def cholesky(self) -> np.ndarray:
@@ -186,7 +159,7 @@ def build_prior(graph: ConceptGraph, lam: float, gamma: float) -> StructuredPrio
         np.add.at(lap, (tail, head), -1.0)
         np.add.at(lap, (head, tail), -1.0)
         precision += 2.0 * gamma * lap
-    prior = StructuredPrior(graph, float(lam), float(gamma), precision, tail, head)
+    prior = StructuredPrior(graph, float(lam), float(gamma), precision)
     # the check factors the precision that `sample` reuses; it fails only
     # when 2*gamma*L swamps 2*lam in rounding
     try:

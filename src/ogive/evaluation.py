@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .calibration import ItemBank
-from .concept_graph import ConceptGraph, StructuredPrior, build_prior, check_precision_finite
+from .concept_graph import ConceptGraph, build_prior, check_precision_finite
 from .dataio import Dataset
 from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map, padded_rows
 from .irt_core import (
@@ -91,10 +91,6 @@ class ModelVariant:
     @property
     def is_spc(self) -> bool:
         return self.kind == "spc"
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.kind in ("static_2po", "temporal_2po")
 
     @property
     def is_vector(self) -> bool:
@@ -181,9 +177,13 @@ def _auc_from_arrays(scores: np.ndarray, outcomes: np.ndarray) -> Optional[float
     return u / (n_pos * n_neg)
 
 
-def _clamped_log_likelihood(p: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+def _metrics(p: np.ndarray, y: np.ndarray, with_auc: bool):
+    """(accuracy at threshold 0.5, AUC or None, mean clamped log-likelihood) of p against y."""
+    accuracy = float(((p >= 0.5) == (y == 1)).mean())
+    auc = _auc_from_arrays(p, y) if with_auc else None
     pc = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return np.where(outcomes == 1, np.log(pc), np.log1p(-pc))
+    mean_ll = float(np.where(y == 1, np.log(pc), np.log1p(-pc)).mean())
+    return accuracy, auc, mean_ll
 
 
 def _check_bins(n_bins: int) -> None:
@@ -219,70 +219,43 @@ def bucket_by_student_percent_correct(
     # the 1e-9 nudge keeps exact bin boundaries (pc = k/n) in the right bin
     student_bin = np.minimum((pc * n_bins + 1e-9).astype(int), n_bins - 1)
     pred_bin = student_bin[student_index]
-    ll = _clamped_log_likelihood(probabilities, outcomes)
-    predicted = probabilities >= 0.5
     for i in range(n_bins):
         sel = pred_bin == i
         n_pred = int(sel.sum())
         n_stud = int(((student_bin == i) & (per_student_n > 0)).sum())
-        if n_pred == 0:
-            buckets.append(
-                BucketMetrics(i / n_bins, (i + 1) / n_bins, n_stud, 0, None, None, None)
-            )
-            continue
-        acc = float((predicted[sel] == (outcomes[sel] == 1)).mean())
-        auc = _auc_from_arrays(probabilities[sel], outcomes[sel]) if with_auc else None
-        buckets.append(
-            BucketMetrics(
-                i / n_bins, (i + 1) / n_bins, n_stud, n_pred,
-                acc, auc, float(ll[sel].mean()),
-            )
-        )
+        metrics = (None, None, None)
+        if n_pred:
+            metrics = _metrics(probabilities[sel], outcomes[sel], with_auc)
+        buckets.append(BucketMetrics(i / n_bins, (i + 1) / n_bins, n_stud, n_pred, *metrics))
     return buckets
 
 
-def resolve_prior(model: ModelVariant, prior_graph, bank: ItemBank) -> StructuredPrior:
-    """The structured prior a vector model runs with, built from a graph if needed.
+def model_prior(model: ModelVariant, prior_graph: Optional[ConceptGraph], bank: ItemBank):
+    """(precision, coordinate of each bank item, concept ids) a model runs with.
 
-    A given StructuredPrior must carry the model's lam and gamma; None stands
-    for the bank's concepts without edges, which only an uncoupled model
-    (gamma == 0) accepts.
+    Items are in `bank.arrays()` order.  Scalar models are the one-concept
+    case: precision [[2*lam]], every item on coordinate 0 and no concept ids.
+    Vector models build their prior from `prior_graph` with the model's lam
+    and gamma; None stands for the bank's concepts without edges, which only
+    an uncoupled model (gamma == 0) accepts.  Every bank item's concept must
+    be a node of the graph.
     """
-    if isinstance(prior_graph, StructuredPrior):
-        if prior_graph.lam != model.lam or prior_graph.gamma != model.gamma:
-            raise ValueError(
-                f"prior has (lam={prior_graph.lam}, gamma={prior_graph.gamma}) but the "
-                f"model wants (lam={model.lam}, gamma={model.gamma}); pass the graph "
-                "instead to build a matching prior"
-            )
-        return prior_graph
-    if isinstance(prior_graph, ConceptGraph):
-        return build_prior(prior_graph, model.lam, model.gamma)
+    ids, _, _, concepts = bank.arrays()
+    if not model.is_vector:
+        check_precision_finite(model.lam)
+        return np.array([[2.0 * model.lam]]), np.zeros(len(ids), dtype=np.intp), None
     if prior_graph is None:
         if model.gamma != 0.0:
             raise ValueError(
                 f"model {model.kind!r} couples concepts (gamma={model.gamma}) "
                 "and needs a concept graph"
             )
-        return build_prior(ConceptGraph(bank.concepts()), model.lam, 0.0)
-    raise TypeError(f"prior_graph must be StructuredPrior, ConceptGraph or None, "
-                    f"got {type(prior_graph).__name__}")
-
-
-def model_prior(model: ModelVariant, prior_graph, bank: ItemBank):
-    """(precision, coordinate of each bank item, concept ids) a model runs with.
-
-    Items are in `bank.arrays()` order.  Scalar models are the one-concept
-    case: precision [[2*lam]], every item on coordinate 0 and no concept ids.
-    Vector models take their prior from `resolve_prior`, and every bank item's
-    concept must be a node of its graph.
-    """
-    ids, _, _, concepts = bank.arrays()
-    if not model.is_vector:
-        check_precision_finite(model.lam)
-        return np.array([[2.0 * model.lam]]), np.zeros(len(ids), dtype=np.intp), None
-    prior = resolve_prior(model, prior_graph, bank)
-    concept_to_idx = prior.graph.index
+        prior_graph = ConceptGraph(bank.concepts())
+    elif not isinstance(prior_graph, ConceptGraph):
+        raise TypeError(f"prior_graph must be a ConceptGraph or None, "
+                        f"got {type(prior_graph).__name__}")
+    precision = build_prior(prior_graph, model.lam, model.gamma).precision
+    concept_to_idx = prior_graph.index
     for item_id, cid in zip(ids, concepts):
         if cid not in concept_to_idx:
             raise ValueError(
@@ -290,7 +263,7 @@ def model_prior(model: ModelVariant, prior_graph, bank: ItemBank):
                 "which is not a node of the concept graph"
             )
     item_concept = np.array([concept_to_idx[cid] for cid in concepts], dtype=np.intp)
-    return prior.precision, item_concept, prior.graph.concepts
+    return precision, item_concept, prior_graph.concepts
 
 
 def record_columns(records, bank: ItemBank):
@@ -309,7 +282,7 @@ def run_online_evaluation(
     data: Dataset,
     bank: ItemBank,
     model: ModelVariant,
-    prior_graph: Union[StructuredPrior, ConceptGraph, None] = None,
+    prior_graph: Optional[ConceptGraph] = None,
     solver: SolverConfig = DEFAULT_SOLVER,
     n_buckets: int = 10,
     clock: str = "step",
@@ -400,15 +373,12 @@ def run_online_evaluation(
     y_all = correct_pad[mask].astype(np.int8)
     student_index = np.repeat(np.arange(n_students, dtype=np.int32), lengths)
 
-    predicted = p_all >= 0.5
-    accuracy = float((predicted == (y_all == 1)).mean())
+    accuracy, auc, mean_ll = _metrics(p_all, y_all, with_auc=not model.is_spc)
     n = len(p_all)
     sem = float(np.sqrt(accuracy * (1.0 - accuracy) / n))
-    ll = _clamped_log_likelihood(p_all, y_all)
     if model.is_spc:
-        auc, auc_note = None, "baseline emits no ranking score"
+        auc_note = "baseline emits no ranking score"
     else:
-        auc = _auc_from_arrays(p_all, y_all)
         auc_note = "single-class outcomes" if auc is None else None
     buckets = bucket_by_student_percent_correct(
         p_all, y_all, student_index, n_buckets, with_auc=not model.is_spc
@@ -420,7 +390,7 @@ def run_online_evaluation(
         accuracy_sem=sem,
         auc=auc,
         auc_note=auc_note,
-        mean_log_likelihood=float(ll.mean()),
+        mean_log_likelihood=mean_ll,
         n_predictions=n,
         n_skipped_events=n_skipped,
         n_threshold_ties=int((p_all == 0.5).sum()),

@@ -92,11 +92,20 @@ class TemporalConfig:
         """Clock time of events, in clock units; elementwise on arrays.
 
         The step index (1-based) under the step clock, timestamp /
-        seconds_per_unit under the wall clock.
+        seconds_per_unit under the wall clock.  A wall-clock time past float
+        range is refused, naming seconds_per_unit: every elapsed time and
+        drift term built on it would be NaN.
         """
         if self.clock == "step":
             return step_index
-        return timestamp / self.seconds_per_unit
+        with np.errstate(over="ignore"):
+            units = timestamp / self.seconds_per_unit
+        if not np.isfinite(units).all():
+            raise ValueError(
+                f"seconds_per_unit={self.seconds_per_unit} is too small: timestamp / "
+                f"seconds_per_unit overflows (largest timestamp {np.max(timestamp)})"
+            )
+        return units
 
 
 STATIC = TemporalConfig(0.0)
@@ -119,7 +128,9 @@ def effective_discriminations(alphas: np.ndarray, elapsed: np.ndarray,
 
     alpha / sqrt(1 + alpha^2 * nu2 * elapsed): equals alpha at elapsed 0 and
     decays toward 0 as a response recedes into the past; returns `alphas`
-    itself when nu2 == 0.
+    itself when nu2 == 0.  It is the closed form of the Gaussian average:
+    Phi(a_eff * (mu - beta)) is the mean of Phi(alpha * (x - beta)) over
+    x ~ Normal(mu, nu2 * elapsed).
     """
     if nu2 == 0.0:
         return alphas
@@ -143,18 +154,6 @@ def check_drift_finite(nu2: float, max_alpha: float, max_elapsed: float) -> None
             f"nu2={nu2} is too large: alpha^2 * nu2 * elapsed overflows (largest "
             f"discrimination {max_alpha}, largest elapsed time {max_elapsed})"
         )
-
-
-def gaussian_probit_integral(alpha: float, beta: float, mu: float,
-                             sigma2: float) -> float:
-    """Expectation of Phi(alpha*(x-beta)) under x ~ Normal(mu, sigma2).
-
-    Closed form Phi(alpha*(mu-beta)/sqrt(1+alpha^2*sigma2)); sigma2 = 0
-    degenerates to the plain response probability.
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    return float(probit(alpha * (mu - beta) / math.sqrt(1.0 + alpha * alpha * sigma2)))
 
 
 # Past this |zs| the log-space ratio loses digits to cancellation on the losing

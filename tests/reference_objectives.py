@@ -4,7 +4,9 @@ Each objective is written straight from the model, one history of
 `ResponseEvent`s at a time, and returns value, gradient and curvature (or
 Hessian).  Both are concave.  The checks C2/C3 probe them by finite
 differences and eigenvalues, and the solver tests check that the batched
-solve lands on their maximizer.  `unsigned_probit_terms` is the kernel as it
+solve lands on their maximizer.  `prior_value_and_grad` is the concept
+prior's log-density summed edge by edge, the oracle of `build_prior`'s
+precision matrix.  `unsigned_probit_terms` is the kernel as it
 was written before the response sign moved out of it, kept as the bit-for-bit
 oracle of the signed kernel.  `calibrate_with_fresh_passes` is the
 calibration loop as it was before its blocks shared per-cell terms: every
@@ -75,6 +77,30 @@ class VectorObjectiveValue(NamedTuple):
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
+
+
+def prior_value_and_grad(prior: StructuredPrior, theta: np.ndarray):
+    """Unnormalized log-density of the concept prior at theta, and its gradient.
+
+    -lam*sum(theta^2) - gamma*sum over prerequisite edges (n, m) of
+    (theta_n - theta_m)^2, summed over `prior.graph.edges` with the prior's
+    lam and gamma; the precision matrix is never read.
+    """
+    theta = np.asarray(theta, dtype=float)
+    index = prior.graph.index
+    value = -prior.lam * float(theta @ theta)
+    grad = -2.0 * prior.lam * theta
+    for n, m in prior.graph.edges:
+        diff = theta[index[n]] - theta[index[m]]
+        value -= prior.gamma * diff * diff
+        grad[index[n]] -= 2.0 * prior.gamma * diff
+        grad[index[m]] += 2.0 * prior.gamma * diff
+    return value, grad
+
+
+def prior_log_density(prior: StructuredPrior, theta: np.ndarray) -> float:
+    """-lam*sum(theta^2) - gamma*sum((theta_n - theta_m)^2), from `prior_value_and_grad`."""
+    return prior_value_and_grad(prior, theta)[0]
 
 
 def _history_arrays(history: Sequence[ResponseEvent], now: float,
@@ -151,9 +177,8 @@ def approx_log_posterior_vector(theta_vec: np.ndarray,
     z = a_eff * (theta_vec[concept_idx] - betas)
     ll, d1, d2 = signed_terms(z, correct)
 
-    p_value, p_grad = prior.value_and_grad(theta_vec)
+    p_value, grad = prior_value_and_grad(prior, theta_vec)
     value = p_value + float(ll.sum())
-    grad = p_grad.copy()
     np.add.at(grad, concept_idx, a_eff * d1)
     hess = -prior.precision.copy()
     np.add.at(hess, (concept_idx, concept_idx), a_eff * a_eff * d2)

@@ -30,7 +30,7 @@ from ogive.irt_core import (
     ItemParams,
     ResponseEvent,
     TemporalConfig,
-    gaussian_probit_integral,
+    effective_discriminations,
     probit,
 )
 from ogive.simulate import ItemBankSpec, SimulationScenario, generate
@@ -109,8 +109,10 @@ def random_stacked_instance(rng, max_events=40, max_concepts=6):
     return rng.uniform(-3, 3, size=(s, c)), objective, prior.precision
 
 
-@pytest.mark.criterion("C1", "integral and probit match independent numeric oracles")
+@pytest.mark.criterion("C1", "drift attenuation and probit match independent numeric oracles")
 def test_c01_numerical_identities():
+    # a response seen after drift of variance sigma2 is scored at the effective
+    # discrimination, which must equal the probit averaged over that drift
     t0 = time.monotonic()
     for x, expected in PROBIT_ORACLE.items():
         assert abs(float(probit(x)) - expected) <= 1e-10
@@ -119,7 +121,8 @@ def test_c01_numerical_identities():
         for beta in (-2.0, 0.0, 2.0):
             for mu in (-2.0, 0.0, 2.0):
                 for sigma2 in (0.0, 0.5, 4.0):
-                    got = gaussian_probit_integral(alpha, beta, mu, sigma2)
+                    got = float(probit(
+                        effective_discriminations(alpha, sigma2, 1.0) * (mu - beta)))
                     if sigma2 == 0.0:
                         expected = float(probit(alpha * (mu - beta)))
                     else:

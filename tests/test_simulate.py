@@ -19,10 +19,34 @@ from ogive.simulate import (
     MAX_SIMULATED_EVENTS,
     ItemBankSpec,
     SimulationScenario,
-    empirical_step_variance,
     generate,
     write_truth,
 )
+
+
+def empirical_step_variance(paths: dict[str, np.ndarray],
+                            times: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-coordinate mean squared proficiency step per elapsed clock unit.
+
+    Zero-gap pairs carry no drift and are excluded.  A scenario with
+    drift variance 0 returns exactly zero.
+    """
+    total = None
+    count = 0
+    for sid, theta in paths.items():
+        if len(theta) < 2:
+            continue
+        d = np.diff(theta, axis=0)
+        dt = np.diff(times[sid])
+        valid = dt > 0
+        if total is None:
+            total = np.zeros(theta.shape[1])
+        if valid.any():
+            total += (d[valid] ** 2 / dt[valid, None]).sum(axis=0)
+            count += int(valid.sum())
+    if total is None or count == 0:
+        raise ValueError("need at least one path with two events")
+    return total / count
 
 
 def scenario(**kw):
