@@ -168,6 +168,13 @@ def calibrate(
     records = training.all_records()
     if not records:
         raise DataError("empty training set")
+    floor = config.discrimination_floor
+    # every sum of squared discriminations over the records is at most this
+    if not math.isfinite(len(records) * floor * floor):
+        raise ValueError(
+            f"discrimination_floor={floor} is too large: records * floor^2 overflows "
+            f"({len(records)} records)"
+        )
     students = list(training.students)
     s_index = {s: i for i, s in enumerate(students)}
     item_ids: list[str] = []
@@ -205,7 +212,6 @@ def calibrate(
     student_precision = np.array([[2.0 * lam_student]])
     difficulty_precision = np.array([[1.0 / DIFFICULTY_PRIOR_VARIANCE]])
     discrimination_precision = np.array([[1.0 / DISCRIMINATION_PRIOR_VARIANCE]])
-    floor = config.discrimination_floor
     alpha = np.full(n_items, max(DISCRIMINATION_PRIOR_MEAN, floor))
     beta = np.full(n_items, DIFFICULTY_PRIOR_MEAN)
     theta = np.zeros(n_students)

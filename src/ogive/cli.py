@@ -236,9 +236,10 @@ _SOLVER = {
     "solver_max_iterations": (SolverConfig.max_iterations, int, "Newton iteration cap"),
 }
 _HYPERPARAMETERS = {
-    "nu2": (None, float, "drift variance per clock unit (the model's own when unset)"),
+    "nu2": (None, float,
+            "drift variance per clock unit of models with drift (the model's own when unset)"),
     "lam": (None, float, "prior precision weight on each proficiency (likewise)"),
-    "gamma": (None, float, "prerequisite coupling weight of vector models (likewise)"),
+    "gamma": (None, float, "prerequisite coupling weight of coupled models (likewise)"),
 }
 
 
@@ -432,6 +433,10 @@ def cmd_sweep(resolved: dict) -> int:
     nu2_grid = _grid_setting(resolved, "nu2_grid", default.nu2)
     lam_grid = _grid_setting(resolved, "lambda_grid", default.lam)
     gamma_grid = _grid_setting(resolved, "gamma_grid", default.gamma)
+    knobs = default.hyperparameters()
+    for key, knob in (("nu2_grid", "nu2"), ("lambda_grid", "lam"), ("gamma_grid", "gamma")):
+        if resolved[key] is not None and knob not in knobs:
+            raise DataError(f"{base} has no {knob} to sweep; drop {_flag(key)}")
     data, bank, options = _load_run_inputs(resolved)
 
     rows = []

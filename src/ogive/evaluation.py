@@ -38,12 +38,14 @@ MAX_BUCKETS = 1000  # percent-correct buckets; each is a row of every report
 MODEL_KINDS = ("spc", "static_2po", "temporal_2po", "factorial_mvn",
                "correlated_mvn", "tskirt")
 
+# each kind's knobs and their standard values; a kind without nu2 has no
+# drift and one without gamma no coupling, so both stay 0 there
 _DEFAULT_HYPERS = {
     "spc": {},
-    "static_2po": {"nu2": 0.0, "lam": 1.0},
+    "static_2po": {"lam": 1.0},
     "temporal_2po": {"nu2": 10.0, "lam": 1.0},
-    "factorial_mvn": {"nu2": 0.0, "lam": 1.0, "gamma": 0.0},
-    "correlated_mvn": {"nu2": 0.0, "lam": 1.0, "gamma": 0.5},
+    "factorial_mvn": {"lam": 1.0},
+    "correlated_mvn": {"lam": 1.0, "gamma": 0.5},
     "tskirt": {"nu2": 0.1, "lam": 1.0, "gamma": 0.5},
 }
 
@@ -68,6 +70,12 @@ class ModelVariant:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        for name, what in (("nu2", "drift"), ("gamma", "coupling")):
+            if getattr(self, name) != 0.0 and name not in _DEFAULT_HYPERS[self.kind]:
+                raise ValueError(
+                    f"model {self.kind!r} has no {what}, so its {name} must be 0, "
+                    f"got {getattr(self, name)}"
+                )
 
     @classmethod
     def from_name(cls, kind: str,

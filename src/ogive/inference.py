@@ -7,22 +7,20 @@ line search, run in lockstep over the S independent problems of a
 `StackedLogPosterior`; `batched_vector_map` is its cold start from event
 arrays.  The solver takes and returns the kernel's per-cell terms, so a
 caller that already holds them at the starting point (calibration's blocks)
-skips that kernel pass.  The objective is strictly concave whenever P is
-positive definite, so each maximizer is unique.  A row retires from the
-lockstep solve as soon as it converges or its line search stalls, and every
-later kernel call, step and linear solve runs on the live rows only.  Every
-array operation is elementwise per row, so each student's iterates,
-iteration count and convergence flag are bit-identical no matter which
-other students share the batch or when they retire.  The one exception is a
-coupled prior solved as a batch of one from the start: numpy multiplies a
-lone row by P through BLAS gemv, whose sums round differently from a
-batch's gemm, so its iterates may differ from the batched ones in the last
-bits.  `estimate_history` is the
-one single-history core: it takes one history as the event columns the
-harness builds (discrimination, difficulty, outcome, clock time, coordinate)
-and is the same solver at S = 1, returning exactly its row.
-`map_estimate_vector` only turns a list of `ResponseEvent`s into those
-columns.  Every padded layout the solver reads, in the harness and in
+skips that kernel pass.  The objective owns P: it forms P (theta - m) and
+each Newton system (`direction`), and the solver only steps, searches and
+retires rows.  The objective is strictly concave whenever P is positive
+definite, so each maximizer is unique.  A row retires from the lockstep
+solve as soon as it converges or its line search stalls, and every later
+kernel call, step and linear solve runs on the live rows only.  Every array
+operation is elementwise per row, so each student's iterates, iteration
+count and convergence flag are bit-identical no matter which other students
+share the batch, when they retire, or whether the row is solved alone.
+`estimate_history` is the one single-history core: it takes one history as
+the event columns the harness builds (discrimination, difficulty, outcome,
+clock time, coordinate) and is the same solver at S = 1, returning exactly
+its row.  `map_estimate_vector` only turns a list of `ResponseEvent`s into
+those columns.  Every padded layout the solver reads, in the harness and in
 calibration, comes from `padded_rows`.
 """
 
@@ -209,13 +207,14 @@ class StackedLogPosterior:
     gradients and the (S, C) diagonal of the data curvature; the Hessian of
     row s is diag(curvature_s) - P.  A call is two parts: `terms`, the kernel
     pass, and `reduce`, which turns those per-cell terms into the three
-    results.  mask None means every cell is valid.  What is fixed for a
-    whole solve is built once here, not per call: the response signs folded
-    into the discriminations (signed_a), their squares and the scatter
-    indices.  `keep` drops retired rows from every later call.  With one
-    concept every event reads the only coordinate, so the gather is a
-    broadcast and the scatter a row sum, and concept_idx is not read (it may
-    be None).
+    results.  `direction` forms and solves the Newton system, the only place
+    the solver meets P.  mask None means every cell is valid.  What is fixed
+    for a whole solve is built once here, not per call: the response signs
+    folded into the discriminations (signed_a), their squares, the scatter
+    indices and whether P is coupled.  `keep` drops retired rows from every
+    later call.  With one concept every event reads the only coordinate, so
+    the gather is a broadcast and the scatter a row sum, and concept_idx is
+    not read (it may be None).
     """
 
     def __init__(self, a_eff, beta, correct, concept_idx, mask, precision,
@@ -226,14 +225,14 @@ class StackedLogPosterior:
         self.pad = None if mask is None or mask.all() else ~mask
         self.precision = precision
         self.prior_mean = prior_mean
+        self.p_diag = np.diagonal(precision)
+        # a positive definite precision has a nonzero diagonal, so this counts
+        # whether any off-diagonal entry is nonzero
+        self.coupled = np.count_nonzero(precision) > len(precision)
         self.one_concept = precision.shape[0] == 1
         if not self.one_concept:
             self.concept_idx = concept_idx
             self._scatter_index()
-            # numpy multiplies a lone row by P through BLAS gemv, which rounds
-            # differently from the gemm that multiplies a batch; a batch keeps
-            # gemm's rounding when `keep` leaves it one row
-            self.batched = a_eff.shape[0] > 1
 
     def _scatter_index(self):
         n_students, n_concepts = self.beta.shape[0], self.precision.shape[0]
@@ -280,10 +279,9 @@ class StackedLogPosterior:
             np.multiply(d2, self.a_sq, out=cells)
             curv = cells.sum(axis=1, keepdims=True)
         else:
-            if self.batched and len(dev) == 1:
-                p_dev = (np.concatenate((dev, dev)) @ self.precision)[:1]
-            else:
-                p_dev = dev @ self.precision
+            # einsum sums each row on its own, where `@` rounds a lone row
+            # (BLAS gemv) differently from a batch (gemm)
+            p_dev = np.einsum("sc,cd->sd", dev, self.precision)
             value = -0.5 * np.einsum("sc,sc->s", dev, p_dev)
             size = self.shape[0] * self.shape[1]
             grad = -p_dev + np.bincount(
@@ -298,6 +296,19 @@ class StackedLogPosterior:
 
     def __call__(self, theta: np.ndarray):
         return self.reduce(theta, self.terms(theta))
+
+    def direction(self, grad: np.ndarray, curv: np.ndarray) -> np.ndarray:
+        """The Newton direction (P - diag(curv))^-1 grad of every row.
+
+        curv is the data curvature, <= 0, so the system is positive definite;
+        a diagonal P solves it elementwise, a coupled one per row by LAPACK.
+        """
+        if not self.coupled:
+            return grad / (self.p_diag - curv)
+        diag = np.arange(curv.shape[1])
+        neg_hess = np.broadcast_to(self.precision, (len(curv), *self.precision.shape)).copy()
+        neg_hess[:, diag, diag] -= curv
+        return np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
 
 
 def batched_vector_map(
@@ -334,22 +345,15 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
     mills and d2 need only be finite and of the kernel's sign, since the
     zero discriminations there turn them into the same signed zeros.  A list
     passed in is updated in place to the terms at each row's solution.
-    A diagonal precision takes the elementwise Newton step, a
-    coupled one a batched linear solve.  A row is done when its max-abs
-    gradient entry drops to tol (converged) or its line search finds no
-    acceptable step (stalled); done rows retire, and every later
-    evaluation, step and solve runs on the live rows only.  Returns (theta,
-    converged, iterations) with shapes (S, C), (S,) bool and (S,) int.
+    The objective forms each Newton step (`direction`); the solver never
+    reads the prior.  A row is done when its max-abs gradient entry drops to
+    tol (converged) or its line search finds no acceptable step (stalled);
+    done rows retire, and every later evaluation, step and solve runs on the
+    live rows only.  Returns (theta, converged, iterations) with shapes
+    (S, C), (S,) bool and (S,) int.
     """
     theta = np.array(theta0, dtype=float, copy=True)
-    n_students, n_concepts = theta.shape
-    precision = objective.precision
-    p_diag = np.diagonal(precision)
-    # a positive definite precision has a nonzero diagonal, so this counts
-    # whether any off-diagonal entry is nonzero
-    diagonal = np.count_nonzero(precision) == n_concepts
-    diag = np.arange(n_concepts)
-
+    n_students = len(theta)
     theta_out = np.empty_like(theta)
     keep = terms is not None
     value, grad, curv = objective.reduce(
@@ -376,13 +380,7 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
             if not len(live):
                 break
         iterations[live] += 1
-        # -H = P - diag(curv); curvature terms are <= 0 so -H is positive definite
-        if diagonal:
-            direction = grad / (p_diag - curv)
-        else:
-            neg_hess = np.broadcast_to(precision, (len(live), n_concepts, n_concepts)).copy()
-            neg_hess[:, diag, diag] -= curv
-            direction = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
+        direction = objective.direction(grad, curv)
         slope = np.einsum("sc,sc->s", grad, direction)
         slack = ARMIJO_SLACK * (1.0 + np.abs(value))
         step = np.ones(len(live))

@@ -13,7 +13,10 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +528,40 @@ def test_calibrate_writes_bank_and_sidecar(tmp_path, capsys):
     assert sidecar["recovery_correlations"]["difficulty"] >= 0.9
 
 
+def test_calibrate_refuses_a_floor_whose_squares_overflow(tmp_path, capsys):
+    # every sum of squared discriminations is at most records * floor^2, so
+    # calibrate runs exactly the floors that keep that product finite
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--seed", "3", "--students", "40", "--concepts", "3",
+                   "--items-per-concept", "10", "--responses", "30", "--out", str(sim)) == 0
+    data = str(sim / "interactions.csv")
+    n = preprocess(load_interactions(data)).n_responses
+
+    def fits(floor):
+        return math.isfinite(n * floor * floor)
+
+    largest = math.sqrt(sys.float_info.max / n)
+    while not fits(largest):
+        largest = math.nextafter(largest, 0.0)
+    while fits(math.nextafter(largest, math.inf)):
+        largest = math.nextafter(largest, math.inf)
+    capsys.readouterr()
+    for floor in ("1e154", "1e308", repr(math.nextafter(largest, math.inf))):
+        out = tmp_path / "refused.csv"
+        assert run_cli("calibrate", "--data", data, "--floor", floor, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "discrimination_floor=" in captured.err and "overflows" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim"]
+    out = tmp_path / "bank.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("calibrate", "--data", data, "--floor", repr(largest),
+                       "--out", str(out)) == 0
+    alphas = ItemBank.load_csv(out).arrays()[1]
+    assert np.all(alphas == largest)
+
+
 def test_calibrate_reads_a_tab_separated_concept_map(sim_dir, tmp_path, capsys):
     data = str(sim_dir / "interactions.csv")
     items = list(ItemBank.load_csv(sim_dir / "true_bank.csv").items)
@@ -628,6 +665,48 @@ def test_sweep_orders_rows_and_breaks_ties_toward_smaller(sim_dir, tmp_path, cap
     assert accs == sorted(accs, reverse=True)
     if accs[0] == accs[1]:
         assert swept["best"]["lam"] == 0.5
+
+
+@pytest.mark.parametrize("model, grid", [
+    ("static_2po", "--nu2-grid"), ("static_2po", "--gamma-grid"),
+    ("temporal_2po", "--gamma-grid"), ("factorial_mvn", "--gamma-grid"),
+    ("correlated_mvn", "--nu2-grid"),
+])
+def test_sweep_refuses_a_grid_its_model_has_no_knob_for(sim_dir, tmp_path, capsys, model,
+                                                         grid):
+    out = tmp_path / "sweep.json"
+    assert run_cli(
+        "sweep", "--data", str(sim_dir / "interactions.csv"),
+        "--bank", str(sim_dir / "true_bank.csv"), "--graph", str(sim_dir / "graph.txt"),
+        "--model", model, grid, "0", "--out", str(out),
+    ) == 2
+    assert f"{model} has no" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shared_knobs_leave_models_without_them_unchanged(sim_dir, tmp_path, capsys):
+    # --nu2 and --gamma are knobs of the drift and coupled models only; static
+    # and factorial models score every response as they do without them
+    def reports(name, *flags):
+        out = tmp_path / name
+        assert run_cli(
+            "evaluate", "--data", str(sim_dir / "interactions.csv"),
+            "--bank", str(sim_dir / "true_bank.csv"), "--graph", str(sim_dir / "graph.txt"),
+            "--model", "static_2po", "--model", "factorial_mvn", *flags, "--out", str(out),
+        ) == 0
+        found = {}
+        for kind in ("static_2po", "factorial_mvn"):
+            report = json.loads((out / f"report_{kind}.json").read_text())
+            del report["run_config"]
+            found[kind] = report
+        return found
+
+    plain = reports("plain")
+    shared = reports("shared", "--nu2", "0.5", "--gamma", "1.0")
+    capsys.readouterr()
+    assert shared == plain
+    assert plain["static_2po"]["hyperparameters"] == {"lam": 1.0}
+    assert plain["factorial_mvn"]["hyperparameters"] == {"lam": 1.0}
 
 
 def test_sweep_rejects_spc_and_empty_grids(sim_dir, capsys):
@@ -774,3 +853,27 @@ def test_help_lists_every_setting(command, capsys):
     out = capsys.readouterr().out
     for key in cli.COMMANDS[command][1]:
         assert cli._flag(key) in out
+
+
+DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
+PIPELINE_ARTIFACTS = sorted(
+    [f"runs/demo/{name}" for name in ("interactions.csv", "graph.txt", "true_bank.csv",
+                                      "true_paths.jsonl", "scenario.json", "bank.csv",
+                                      "bank.csv.calibration.json", "sweep.json",
+                                      "predict.json", "eval/buckets.tsv")]
+    + [f"runs/demo/eval/report_{kind}.json" for kind in cli.MODEL_KINDS]
+) + ["<stdout>", "<stderr>"]
+
+
+def test_readme_pipeline_is_byte_deterministic():
+    """Two runs of the artifact digest script print the same sha256 of every artifact."""
+    runs = [
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(DIGEST_SCRIPT)],
+                       capture_output=True, text=True, timeout=300)
+        for _ in range(2)
+    ]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    assert [line.split("  ", 1)[1] for line in lines] == PIPELINE_ARTIFACTS

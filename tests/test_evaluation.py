@@ -70,19 +70,27 @@ def streaming_data(bank, n_students=5, n_events=12, seed=3):
 def test_model_menu_defaults():
     assert ModelVariant.from_name("spc").hyperparameters() == {}
     static = ModelVariant.from_name("static_2po")
-    assert static.hyperparameters() == {"nu2": 0.0, "lam": 1.0}
+    assert static.hyperparameters() == {"lam": 1.0}
     temporal = ModelVariant.from_name("temporal_2po")
-    assert temporal.nu2 == 10.0
+    assert temporal.hyperparameters() == {"nu2": 10.0, "lam": 1.0}
+    factorial = ModelVariant.from_name("factorial_mvn")
+    assert factorial.hyperparameters() == {"lam": 1.0}
     corr = ModelVariant.from_name("correlated_mvn")
-    assert corr.hyperparameters() == {"nu2": 0.0, "lam": 1.0, "gamma": 0.5}
+    assert corr.hyperparameters() == {"lam": 1.0, "gamma": 0.5}
     tsk = ModelVariant.from_name("tskirt")
     assert tsk.hyperparameters() == {"nu2": 0.1, "lam": 1.0, "gamma": 0.5}
 
 
 def test_model_overrides_apply_only_where_the_kind_has_the_knob():
     v = ModelVariant.from_name("static_2po", nu2=0.3, lam=2.0, gamma=9.0)
-    assert v.hyperparameters() == {"nu2": 0.3, "lam": 2.0}
-    assert v.gamma == 0.0  # dataclass default, not the ignored override
+    assert v.hyperparameters() == {"lam": 2.0}
+    assert v.nu2 == v.gamma == 0.0  # dataclass defaults, not the ignored overrides
+    for kind, knobs in (("temporal_2po", {"nu2": 0.3, "lam": 2.0}),
+                        ("factorial_mvn", {"lam": 2.0}),
+                        ("correlated_mvn", {"lam": 2.0, "gamma": 9.0}),
+                        ("tskirt", {"nu2": 0.3, "lam": 2.0, "gamma": 9.0})):
+        v = ModelVariant.from_name(kind, nu2=0.3, lam=2.0, gamma=9.0)
+        assert v.hyperparameters() == knobs
     spc = ModelVariant.from_name("spc", nu2=5.0, lam=5.0, gamma=5.0)
     assert spc.hyperparameters() == {}
 
@@ -98,6 +106,17 @@ def test_model_validation():
                         ("gamma", inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ModelVariant("tskirt", **{name: value})
+
+
+@pytest.mark.parametrize("kind, knob", [
+    ("spc", "nu2"), ("static_2po", "nu2"), ("factorial_mvn", "nu2"), ("correlated_mvn", "nu2"),
+    ("spc", "gamma"), ("static_2po", "gamma"), ("temporal_2po", "gamma"),
+    ("factorial_mvn", "gamma"),
+])
+def test_model_refuses_a_knob_its_kind_lacks(kind, knob):
+    with pytest.raises(ValueError, match=f"model '{kind}' has no .*{knob} must be 0"):
+        ModelVariant(kind, **{knob: 0.5})
+    assert getattr(ModelVariant(kind, **{knob: 0.0}), knob) == 0.0
 
 
 def test_model_kind_partition():

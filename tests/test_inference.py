@@ -36,6 +36,7 @@ from ogive.irt_core import (
     ItemParams,
     ResponseEvent,
     TemporalConfig,
+    effective_discriminations,
     probit,
 )
 from reference_objectives import approx_log_posterior_scalar, approx_log_posterior_vector
@@ -465,17 +466,10 @@ def _ragged_batch(rng, n_concepts, n_students=24, max_events=30):
 
 
 def _assert_rows_equal_single_solves(theta0, a, beta, correct, cidx, mask, precision, **kw):
-    """Each row of the batched solve equals the solve of that row alone, bit for bit.
-
-    Under a coupled prior "alone" is the row twice over: numpy multiplies a
-    lone row by P through BLAS gemv, whose sums round differently from the
-    gemm of a batch, so a one-row solve differs from any batch in the last
-    bits.  The pair never splits, both copies retiring together.
-    """
+    """Each row of the batched solve equals the solve of that row alone, bit for bit."""
     batch = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision, **kw)
-    copies = 1 if np.count_nonzero(precision) == len(precision) else 2
     for s in range(len(theta0)):
-        rows = [s] * copies
+        rows = [s]
         alone = batched_vector_map(theta0[rows], a[rows], beta[rows], correct[rows],
                                    cidx[rows], None if mask is None else mask[rows],
                                    precision, **kw)
@@ -524,6 +518,30 @@ def test_last_live_row_keeps_its_state_while_others_retire(prior):
     _, converged, iterations = _assert_rows_equal_single_solves(
         theta0, a, beta, correct, cidx, mask, precision)
     assert converged.all() and iterations[2] >= 4
+
+
+@pytest.mark.parametrize("prior", ["chain", "diamond"])
+def test_single_history_core_is_its_row_of_a_batch(prior):
+    # estimate_history solves one history at S = 1; under a coupled prior it
+    # must still land on the bits of the same history's row in a batch
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(36)
+    n_students, t, nu2 = 12, 20, 0.2
+    alphas = rng.uniform(0.3, 2.5, size=(n_students, t))
+    betas = rng.uniform(-2, 2, size=(n_students, t))
+    correct = rng.integers(0, 2, size=(n_students, t)).astype(float)
+    cidx = rng.integers(0, len(precision), size=(n_students, t))
+    times = np.sort(rng.uniform(0.0, 30.0, size=(n_students, t)), axis=1)
+    now = 31.0
+    a_eff = effective_discriminations(alphas, now - times, nu2)
+    batch = batched_vector_map(np.zeros((n_students, len(precision))), a_eff, betas, correct,
+                               cidx, None, precision)
+    assert batch[1].all()
+    for s in range(n_students):
+        alone = estimate_history(alphas[s], betas[s], correct[s], times[s], now, nu2,
+                                 precision, cidx[s])
+        _assert_same_bits(alone.theta, batch[0][s])
+        assert alone.converged == batch[1][s] and alone.iterations == batch[2][s]
 
 
 def test_kernel_sees_only_the_live_rows(monkeypatch):
