@@ -22,7 +22,15 @@ import numpy as np
 from .calibration import ItemBank
 from .concept_graph import ConceptGraph, build_prior, check_precision_finite
 from .dataio import Dataset
-from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map, padded_rows
+from .inference import (
+    DEFAULT_SOLVER,
+    SolverConfig,
+    StackedLogPosterior,
+    batched_vector_map,
+    count_rows,
+    newton_map,
+    padded_rows,
+)
 from .irt_core import (
     PROB_FLOOR,
     TemporalConfig,
@@ -328,11 +336,23 @@ def run_online_evaluation(
     n_students = len(students)
     if n_students == 0:
         raise ValueError("no evaluable events: every event was skipped or the data is empty")
-    mask, item_pad, correct_pad, stamp_pad = padded_rows(
-        group, n_students, item[known], correct[known], stamp[known]
-    )
+    item, correct, stamp = item[known], correct[known], stamp[known]
+    # rows run longest stream first, so each step's live students are a row prefix
+    by_length = np.argsort(-np.bincount(group), kind="stable")
+    rank = np.empty(n_students, dtype=np.intp)
+    rank[by_length] = np.arange(n_students)
+    group = rank[group]
+    columns = [item, correct, stamp]
+    static = not model.is_spc and model.nu2 == 0.0
+    if static:
+        slot, _, a_cell, b_cell, r_cell, c_cell = count_rows(
+            group, n_students, 2 * item + (correct > 0), alphas[item], betas[item], correct,
+            item_concept[item])
+        columns.append(slot)
+    mask, item_pad, correct_pad, stamp_pad, *slot_pad = padded_rows(group, n_students, *columns)
     lengths = mask.sum(axis=1)
     width = mask.shape[1]
+    n_live = np.cumsum(np.bincount(lengths, minlength=width + 1)[::-1])[::-1]
     alpha_pad = alphas[item_pad]
     beta_pad = betas[item_pad]
     cidx_pad = item_concept[item_pad]
@@ -354,28 +374,66 @@ def run_online_evaluation(
             probs = np.where(denom > 0, prior_correct / np.maximum(denom, 1.0), 0.5)
     else:
         theta = np.zeros((n_students, len(precision)))
-        # one-concept objectives never read the coordinates, so they are not copied
+        # one-concept objectives never read the coordinates, so they are not passed
         one_concept = len(precision) == 1
+        live_rows = np.arange(n_students)
+        tol, max_iter = solver.gradient_tolerance, solver.max_iterations
+
+        def drift_solve(n, col):
+            hist = slice(0, col)
+            elapsed = time_pad[:n, col][:, None] - time_pad[:n, hist]
+            a_eff = effective_discriminations(alpha_pad[:n, hist], elapsed, model.nu2)
+            return batched_vector_map(
+                theta[:n], a_eff, beta_pad[:n, hist], correct_pad[:n, hist],
+                None if one_concept else cidx_pad[:n, hist], None, precision, tol, max_iter,
+            )
+
+        if static:
+            # a static history is its distinct (item, outcome) cells with
+            # counts; a cell's terms never change with time, so the terms a
+            # step's solve ends with are the next step's at its warm start,
+            # and only the cell a step opens needs a kernel pass
+            slot_pad = slot_pad[0]
+            opened = np.maximum.accumulate(slot_pad, axis=1) + 1
+            opens = slot_pad == np.pad(opened[:, :-1], ((0, 0), (1, 0)))
+            counts = np.zeros(a_cell.shape)
+            a_open = np.zeros(a_cell.shape)  # each cell's discrimination once opened, else 0
+            carried = [np.zeros(a_cell.shape) for _ in range(3)]
+
+        def static_solve(n, col):
+            cells = slot_pad[:n, col - 1]
+            counts[live_rows[:n], cells] += 1.0
+            new = np.flatnonzero(opens[:n, col - 1])
+            a_open[new, cells[new]] = a_cell[new, cells[new]]
+            hist = slice(0, opened[:n, col - 1].max())
+            objective = StackedLogPosterior(
+                a_open[:n, hist], b_cell[:n, hist], r_cell[:n, hist],
+                None if one_concept else c_cell[:n, hist], counts[:n, hist], precision)
+            views = [buf[:n, hist] for buf in carried]
+            if len(new):
+                for view, fresh in zip(views, objective.cell_terms(theta[:n], new, cells[new])):
+                    view[new, cells[new]] = fresh
+            terms = list(views)
+            solved = newton_map(objective, theta[:n], terms, tol, max_iter)
+            for view, term in zip(views, terms):
+                if term is not view:
+                    view[...] = term
+            return solved
+
+        solve = static_solve if static else drift_solve
         for t in range(1, width + 1):
-            idx = np.flatnonzero(lengths >= t)
+            n = n_live[t]
             col = t - 1
             if t >= 2:
-                hist = slice(0, col)
-                elapsed = time_pad[idx, col][:, None] - time_pad[idx, hist]
-                a_eff = effective_discriminations(alpha_pad[idx, hist], elapsed, model.nu2)
-                b = beta_pad[idx, hist]
-                r = correct_pad[idx, hist]
-                th, conv, _ = batched_vector_map(
-                    theta[idx], a_eff, b, r, None if one_concept else cidx_pad[idx, hist],
-                    None, precision,
-                    solver.gradient_tolerance, solver.max_iterations,
-                )
-                theta[idx] = th
+                th, conv, _ = solve(n, col)
+                theta[:n] = th
                 n_unconverged += int((~conv).sum())
-            th_ev = theta[idx, cidx_pad[idx, col]]
-            z = alpha_pad[idx, col] * (th_ev - beta_pad[idx, col])
-            probs[idx, col] = probit(z)
+            th_ev = theta[live_rows[:n], cidx_pad[:n, col]]
+            z = alpha_pad[:n, col] * (th_ev - beta_pad[:n, col])
+            probs[:n, col] = probit(z)
 
+    # back to student order
+    probs, mask, correct_pad, lengths = probs[rank], mask[rank], correct_pad[rank], lengths[rank]
     # the raw arrays live as long as the report: outcomes as int8, students as int32
     p_all = probs[mask]
     y_all = correct_pad[mask].astype(np.int8)

@@ -21,7 +21,12 @@ the event columns the harness builds (discrimination, difficulty, outcome,
 clock time, coordinate) and is the same solver at S = 1, returning exactly
 its row.  `map_estimate_vector` only turns a list of `ResponseEvent`s into
 those columns.  Every padded layout the solver reads, in the harness and in
-calibration, comes from `padded_rows`.
+calibration, comes from `padded_rows`.  Cells carry counts, which generalize
+the boolean mask: a cell counted k times weights its log-likelihood, gradient
+and curvature by k, and a zero count is padding.  Without drift an event's
+terms never change with time, so a static history is held as its distinct
+(item, outcome) cells with counts (`count_rows`), one layout for the harness
+and for `estimate_history`.
 """
 
 from __future__ import annotations
@@ -126,12 +131,21 @@ def estimate_history(
     if np.any(elapsed < 0):
         raise ValueError(f"event {int(np.argmax(elapsed < 0))} is after now={now}")
     check_drift_finite(nu2, alphas.max(), elapsed.max())
-    a_eff = effective_discriminations(alphas, elapsed, nu2)
-    theta, converged, iterations = batched_vector_map(
-        theta0, a_eff[None], betas[None], correct[None],
-        None if len(precision) == 1 else concept_idx[None], None, precision,
-        solver.gradient_tolerance, solver.max_iterations,
-    )
+    if nu2 == 0.0:  # events that agree on every column share a cell
+        _, key = np.unique(np.column_stack([alphas, betas, correct, concept_idx]), axis=0,
+                           return_inverse=True)
+        _, counts, a_eff, betas, correct, concept_idx = count_rows(
+            np.zeros(len(alphas), dtype=np.intp), 1, key.ravel(),
+            alphas, betas, correct, concept_idx)
+    else:
+        counts = None
+        a_eff = effective_discriminations(alphas, elapsed, nu2)[None]
+        betas, correct, concept_idx = betas[None], correct[None], concept_idx[None]
+    objective = StackedLogPosterior(a_eff, betas, correct,
+                                    None if len(precision) == 1 else concept_idx, counts,
+                                    precision)
+    theta, converged, iterations = newton_map(objective, theta0, None,
+                                              solver.gradient_tolerance, solver.max_iterations)
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
 
 
@@ -171,11 +185,33 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
 
 # -- the batched lockstep solver ----------------------------------------------
 #
-# Array contract: event arrays have shape (S, T) with a boolean mask of valid
-# cells, or None when every cell is valid; padded cells must carry a_eff == 0
-# so padding contributes zero gradient and curvature, and the mask zeroes
-# padded log-likelihood terms.
-# `padded_rows` builds every such layout from flat per-event columns.
+# Array contract: event arrays have shape (S, T) with per-cell counts, or None
+# when every cell holds one event; a boolean mask is the 0/1 case.  Cells of
+# count zero are padding and must carry a_eff == 0, so padding contributes
+# zero gradient and curvature; the count zeroes its log-likelihood term.
+# `padded_rows` builds the per-event layouts and `count_rows` the counted ones
+# from flat per-record columns.
+
+
+def _cells(group: np.ndarray, n_groups: int):
+    """(mask, order, cols): record order[i] fills column cols[i] of row group[order[i]].
+
+    Each row holds its group's records left-aligned in record order, and
+    every group gets a row, all masked when it holds no records.
+    """
+    lengths = np.bincount(group, minlength=n_groups)
+    order = np.argsort(group, kind="stable")
+    cols = np.arange(len(group)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    mask = np.zeros((n_groups, int(lengths.max())), dtype=bool)
+    mask[group[order], cols] = True
+    return mask, order, cols
+
+
+def _pad(mask, rows, cols, column):
+    """Zeros of mask's shape holding `column` at (rows, cols)."""
+    out = np.zeros(mask.shape, dtype=column.dtype)
+    out[rows, cols] = column
+    return out
 
 
 def padded_rows(group: np.ndarray, n_groups: int, *columns: np.ndarray):
@@ -184,45 +220,76 @@ def padded_rows(group: np.ndarray, n_groups: int, *columns: np.ndarray):
     Row g holds the records of group g left-aligned, padded cells are 0, and
     every group gets a row, all masked when it holds no records.
     """
-    lengths = np.bincount(group, minlength=n_groups)
-    order = np.argsort(group, kind="stable")
+    mask, order, cols = _cells(group, n_groups)
     rows = group[order]
-    cols = np.arange(len(group)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    mask = np.zeros((n_groups, int(lengths.max())), dtype=bool)
-    mask[rows, cols] = True
-    padded = []
-    for column in columns:
-        out = np.zeros(mask.shape, dtype=column.dtype)
-        out[rows, cols] = column[order]
-        padded.append(out)
-    return (mask, *padded)
+    return (mask, *(_pad(mask, rows, cols, column[order]) for column in columns))
+
+
+def count_rows(group: np.ndarray, n_groups: int, key: np.ndarray, *columns: np.ndarray):
+    """Distinct records of each group, one cell each: (slot, counts, *padded columns).
+
+    Records of one group with equal integer `key` share a cell, so they must
+    agree on every column; row g holds group g's cells left-aligned in order
+    of first occurrence.  Record i fills cell slot[i] of its row, counts[g, k]
+    is how many records fill cell k of row g (0 on padding), and the columns
+    hold each cell's values (0 on padding).
+    """
+    pair = group * (int(key.max()) + 1) + key
+    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)  # distinct pairs in order of first occurrence
+    openers = first[by_first]
+    mask, order, cols = _cells(group[openers], n_groups)
+    slot_of = np.empty(len(openers), dtype=np.intp)
+    slot_of[by_first[order]] = cols
+    slot = slot_of[inverse]
+    counts = np.bincount(group * mask.shape[1] + slot, minlength=mask.size)
+    openers = openers[order]
+    rows = group[openers]
+    return (slot, counts.reshape(mask.shape).astype(float),
+            *(_pad(mask, rows, cols, column[openers]) for column in columns))
 
 
 class StackedLogPosterior:
     """Log-posteriors of S independent problems that share one Gaussian prior.
 
     Row s is -0.5 (theta_s - m)' P (theta_s - m) plus the Bernoulli-probit
-    terms of its valid events, event j reading coordinate concept_idx[s, j].
-    Called at an (S, C) theta it returns the (S,) values, the (S, C)
-    gradients and the (S, C) diagonal of the data curvature; the Hessian of
-    row s is diag(curvature_s) - P.  A call is two parts: `terms`, the kernel
-    pass, and `reduce`, which turns those per-cell terms into the three
-    results.  `direction` forms and solves the Newton system, the only place
-    the solver meets P.  mask None means every cell is valid.  What is fixed
-    for a whole solve is built once here, not per call: the response signs
-    folded into the discriminations (signed_a), their squares, the scatter
-    indices and whether P is coupled.  `keep` drops retired rows from every
-    later call.  With one concept every event reads the only coordinate, so
-    the gather is a broadcast and the scatter a row sum, and concept_idx is
-    not read (it may be None).
+    terms of its cells, cell j reading coordinate concept_idx[s, j] and
+    counted counts[s, j] times.  Called at an (S, C) theta it returns the
+    (S,) values, the (S, C) gradients and the (S, C) diagonal of the data
+    curvature; the Hessian of row s is diag(curvature_s) - P.  A call is two
+    parts: `terms`, the kernel pass, and `reduce`, which turns those per-cell
+    terms into the three results.  `direction` forms and solves the Newton
+    system, the only place the solver meets P.  counts None means every cell
+    holds one event; a boolean mask is the 0/1 case, whose padded terms are
+    zeroed, while numeric counts weight every term, so a zero count is
+    padding and its terms need only be finite.  What is fixed for a whole
+    solve is built once here, not per call: the response signs folded into
+    the discriminations (signed_a), the count-weighted discriminations the
+    gradient and curvature read, the scatter indices and whether P is
+    coupled.  `keep` drops retired rows from every later call.  With one
+    concept every event reads the only coordinate, so the gather is a
+    broadcast, the scatter a row sum, and concept_idx is not read (it may be
+    None).  Under counts a row sums only up to its last counted cell: how
+    much padding follows is decided by the other rows of a batch, and must
+    not move a row's bits.  `cell_terms` is the kernel pass on chosen cells
+    only, for a caller that carries the terms of every other cell.
     """
 
-    def __init__(self, a_eff, beta, correct, concept_idx, mask, precision,
+    def __init__(self, a_eff, beta, correct, concept_idx, counts, precision,
                  prior_mean: float = 0.0):
         self.signed_a = np.where(correct > 0, a_eff, -a_eff)
-        self.a_sq = a_eff * a_eff
+        a_sq = a_eff * a_eff
+        self.weight = None if counts is None or counts.dtype == bool else counts
+        if self.weight is None:
+            self.grad_a, self.curv_a = self.signed_a, a_sq
+            self.pad = None if counts is None or counts.all() else ~counts
+        else:
+            self.grad_a, self.curv_a = self.signed_a * counts, a_sq * counts
+            self.pad = None
+            # each row's cells up to its last counted one; what lies past it
+            # is padding that other rows of the batch decide
+            self.extent = counts.shape[1] - np.argmax(counts[:, ::-1] != 0, axis=1)
         self.beta = beta
-        self.pad = None if mask is None or mask.all() else ~mask
         self.precision = precision
         self.prior_mean = prior_mean
         self.p_diag = np.diagonal(precision)
@@ -230,36 +297,50 @@ class StackedLogPosterior:
         # whether any off-diagonal entry is nonzero
         self.coupled = np.count_nonzero(precision) > len(precision)
         self.one_concept = precision.shape[0] == 1
-        if not self.one_concept:
-            self.concept_idx = concept_idx
-            self._scatter_index()
+        self.concept_idx = None if self.one_concept else concept_idx
+        self._scatter_index()
 
     def _scatter_index(self):
-        n_students, n_concepts = self.beta.shape[0], self.precision.shape[0]
-        self.flat_idx = (np.arange(n_students)[:, None] * n_concepts + self.concept_idx).ravel()
+        n_students, width = self.beta.shape
+        if self.weight is not None:
+            # reduceat bounds: row s is summed over [s * width, s * width + extent)
+            segments = np.empty(2 * n_students, dtype=np.intp)
+            segments[0::2] = np.arange(0, n_students * width, width)
+            segments[1::2] = segments[0::2] + self.extent
+            self.segments = segments[:-1] if self.extent[-1] == width else segments
+        self.flat_idx = None
+        if self.one_concept:
+            return
+        n_concepts = self.precision.shape[0]
+        self.cell_idx = np.arange(n_students)[:, None] * n_concepts + self.concept_idx
+        self.flat_idx = self.cell_idx.ravel()
         self.shape = (n_students, n_concepts)
 
     def keep(self, rows: np.ndarray) -> None:
         """Restrict every later call to `rows`, in that order."""
-        self.signed_a, self.a_sq, self.beta = self.signed_a[rows], self.a_sq[rows], self.beta[rows]
+        signed_a = self.signed_a[rows]
+        self.grad_a = signed_a if self.grad_a is self.signed_a else self.grad_a[rows]
+        self.signed_a, self.curv_a, self.beta = signed_a, self.curv_a[rows], self.beta[rows]
+        if self.weight is not None:
+            self.weight, self.extent = self.weight[rows], self.extent[rows]
         if self.pad is not None:
             pad = self.pad[rows]
             self.pad = pad if pad.any() else None
-        if not self.one_concept:
+        if self.concept_idx is not None:
             self.concept_idx = self.concept_idx[rows]
-            self._scatter_index()
+        self._scatter_index()
 
     def terms(self, theta: np.ndarray):
-        """The kernel pass at an (S, C) theta: per-cell (ll, mills, d2), padded ll 0.
+        """The kernel pass at an (S, C) theta: per-cell (ll, mills, d2), masked ll 0.
 
         These are the kernel's outputs in the signed argument, before the
-        discriminations scale them, so any objective that forms the same
-        arguments on the same cells can reduce them.
+        discriminations and counts scale them, so any objective that forms
+        the same arguments on the same cells can reduce them.
         """
         if self.one_concept:
             zs = theta - self.beta
         else:
-            zs = np.take_along_axis(theta, self.concept_idx, axis=1)
+            zs = theta.take(self.cell_idx)
             zs -= self.beta
         zs *= self.signed_a
         ll, mills, d2 = bernoulli_probit_terms(zs)
@@ -267,31 +348,53 @@ class StackedLogPosterior:
             ll[self.pad] = 0.0
         return ll, mills, d2
 
+    def cell_terms(self, theta: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        """The kernel pass on cells (rows[i], cols[i]) only: 1-d (ll, mills, d2).
+
+        Each cell gets the bits a full `terms` pass gives it; with the terms of
+        every other cell carried over, this completes a full pass at theta.
+        """
+        if self.one_concept:
+            zs = theta[rows, 0] - self.beta[rows, cols]
+        else:
+            zs = theta[rows, self.concept_idx[rows, cols]] - self.beta[rows, cols]
+        zs *= self.signed_a[rows, cols]
+        return bernoulli_probit_terms(zs)
+
+    def _row_sums(self, cells: np.ndarray) -> np.ndarray:
+        """Each row's sum of cells; under counts only over its extent, so padding
+        columns leave a row's bits unchanged."""
+        if self.weight is None:
+            return cells.sum(axis=1)
+        return np.add.reduceat(cells.ravel(), self.segments)[::2]
+
+    def _scatter(self, cells: np.ndarray) -> np.ndarray:
+        """Sum of cells onto the (S, C) coordinates they read."""
+        if self.flat_idx is None:
+            return self._row_sums(cells)[:, None]
+        return np.bincount(self.flat_idx, weights=cells.ravel(),
+                           minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
+
     def reduce(self, theta: np.ndarray, terms):
         """(value, grad, curv) at theta from its per-cell terms, which stay unchanged."""
         ll, mills, d2 = terms
         dev = theta - self.prior_mean
-        cells = np.multiply(mills, self.signed_a)  # the gradient term: sign * a_eff * mills
         if self.one_concept:
             p = self.precision[0, 0]
             value = -(0.5 * p) * dev[:, 0] ** 2
-            grad = -(dev * p) + cells.sum(axis=1, keepdims=True)
-            np.multiply(d2, self.a_sq, out=cells)
-            curv = cells.sum(axis=1, keepdims=True)
+            p_dev = dev * p
         else:
             # einsum sums each row on its own, where `@` rounds a lone row
             # (BLAS gemv) differently from a batch (gemm)
             p_dev = np.einsum("sc,cd->sd", dev, self.precision)
             value = -0.5 * np.einsum("sc,sc->s", dev, p_dev)
-            size = self.shape[0] * self.shape[1]
-            grad = -p_dev + np.bincount(
-                self.flat_idx, weights=cells.ravel(), minlength=size
-            ).reshape(self.shape)
-            np.multiply(d2, self.a_sq, out=cells)
-            curv = np.bincount(
-                self.flat_idx, weights=cells.ravel(), minlength=size
-            ).reshape(self.shape)
-        value += ll.sum(axis=1)
+        cells = np.multiply(mills, self.grad_a)  # the gradient term: count * sign * a_eff * mills
+        grad = -p_dev + self._scatter(cells)
+        np.multiply(d2, self.curv_a, out=cells)
+        curv = self._scatter(cells)
+        if self.weight is not None:
+            ll = np.multiply(ll, self.weight, out=cells)
+        value += self._row_sums(ll)
         return value, grad, curv
 
     def __call__(self, theta: np.ndarray):
@@ -305,9 +408,11 @@ class StackedLogPosterior:
         """
         if not self.coupled:
             return grad / (self.p_diag - curv)
-        diag = np.arange(curv.shape[1])
-        neg_hess = np.broadcast_to(self.precision, (len(curv), *self.precision.shape)).copy()
-        neg_hess[:, diag, diag] -= curv
+        n_rows, n_concepts = curv.shape
+        neg_hess = np.empty((n_rows, n_concepts, n_concepts))
+        neg_hess[...] = self.precision
+        # the strided view of each row's diagonal
+        neg_hess.reshape(n_rows, n_concepts * n_concepts)[:, ::n_concepts + 1] -= curv
         return np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
 
 
@@ -341,10 +446,12 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
 
     terms is the list [ll, mills, d2] of per-cell terms at theta0, or None
     to compute them for the first evaluation only.  It must equal
-    `objective.terms(theta0)` bit for bit on valid cells and in ll; padded
-    mills and d2 need only be finite and of the kernel's sign, since the
-    zero discriminations there turn them into the same signed zeros.  A list
-    passed in is updated in place to the terms at each row's solution.
+    `objective.terms(theta0)` bit for bit on valid cells, and in ll under a
+    mask; padded terms need only be finite and mills and d2 of the kernel's
+    sign, since the zero discriminations and counts there turn them into
+    the same signed zeros.  A list passed in is updated in place to the
+    terms at each row's solution: its entries are replaced by whole arrays
+    or written through, so a caller holding views reads the list back.
     The objective forms each Newton step (`direction`); the solver never
     reads the prior.  A row is done when its max-abs gradient entry drops to
     tol (converged) or its line search finds no acceptable step (stalled);
@@ -391,25 +498,27 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
             cand_terms = objective.terms(cand)
             v2, g2, c2 = objective.reduce(cand, cand_terms)
             ok = need & np.isfinite(v2) & (v2 >= value + ARMIJO_C1 * step * slope - slack)
+            # terms stay one row per problem; retired rows hold their solution's
+            if keep and ok.all() and len(live) == n_students:
+                terms[:] = cand_terms
+            elif keep and ok.any():
+                taken = slice(None) if ok.all() else ok
+                for kept, cand_kept in zip(terms, cand_terms):
+                    kept[live[ok]] = cand_kept[taken]
+            del cand_terms  # freed before the next candidate's kernel pass
+            if ok.all():  # every row takes this step: the candidate is the new state
+                theta, value, grad, curv = cand, v2, g2, c2
+                break
             take = ok[:, None]
             np.copyto(theta, cand, where=take)
             np.copyto(grad, g2, where=take)
             np.copyto(curv, c2, where=take)
             value = np.where(ok, v2, value)
-            # terms stay one row per problem; retired rows hold their solution's
-            if keep and ok.any():
-                if ok.all() and len(live) == n_students:
-                    terms[:] = cand_terms
-                else:
-                    taken = slice(None) if ok.all() else ok
-                    for kept, cand_kept in zip(terms, cand_terms):
-                        kept[live[ok]] = cand_kept[taken]
-            del cand_terms  # freed before the next candidate's kernel pass
             need &= ~ok
             if not need.any():
                 break
             step = np.where(need, 0.5 * step, step)
-        if need.any():  # stalled: no step of the search was accepted
+        else:  # stalled: some row's search accepted no step
             retire(need)
             if not len(live):
                 break

@@ -197,6 +197,12 @@ def generate(scenario: SimulationScenario) -> SimulationResult:
             if chol_shape is not None:
                 z = z @ chol_shape.T
             dt = np.diff(units)
+            # Python floats overflow to inf without numpy's warning
+            if not math.isfinite(nu2 * float(dt.max())):
+                raise ValueError(
+                    f"nu2={nu2} is too large: nu2 * clock gap overflows (student {sid}, "
+                    f"largest gap {float(dt.max())} clock units)"
+                )
             theta[1:] = theta0 + np.cumsum(np.sqrt(nu2 * dt)[:, None] * z, axis=0)
 
         cidx = item_concept_idx[items]

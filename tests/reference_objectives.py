@@ -11,7 +11,11 @@ was written before the response sign moved out of it, kept as the bit-for-bit
 oracle of the signed kernel.  `calibrate_with_fresh_passes` is the
 calibration loop as it was before its blocks shared per-cell terms: every
 block starts with its own kernel pass and the joint objective makes one
-more, kept as the bit-for-bit oracle of `calibrate`.
+more, kept as the bit-for-bit oracle of `calibrate`.  `per_event_harness`
+is the online harness as it was before static histories became counted
+cells: every step copies each live student's whole history, one cell per
+event, and solves it from a fresh kernel pass, the oracle of
+`run_online_evaluation`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from ogive import calibration
+from ogive.evaluation import model_prior, record_columns
 from ogive.concept_graph import StructuredPrior
 from ogive.inference import batched_vector_map, padded_rows
 from ogive.irt_core import (
@@ -32,6 +37,7 @@ from ogive.irt_core import (
     _tail_mills,
     bernoulli_probit_terms,
     effective_discriminations,
+    probit,
 )
 
 
@@ -260,3 +266,48 @@ def calibrate_with_fresh_passes(training, config):
     floored = tuple(q for q, a in zip(item_ids, alpha) if a <= floor * (1.0 + 1e-9))
     return (item_ids, alpha, beta, rounds_run, final_delta,
             objective if rounds_run else None, floored)
+
+
+def per_event_harness(data, bank, model, prior_graph=None, solver=None, clock="step",
+                      seconds_per_unit=1.0):
+    """(probabilities, n_unconverged) of the harness with per-event cells.
+
+    Students in insertion order, events of bank-unknown items dropped; at
+    step t every student with at least t events is solved, warm-started,
+    from a fresh copy of its first t - 1 events.
+    """
+    temporal = TemporalConfig(model.nu2, clock, seconds_per_unit)
+    _, alphas, betas, _ = bank.arrays()
+    precision, item_concept, _ = model_prior(model, prior_graph, bank)
+    kw = {} if solver is None else dict(tol=solver.gradient_tolerance,
+                                        max_iter=solver.max_iterations)
+    columns = [record_columns(records, bank) for records in data.students.values()]
+    group = np.concatenate([np.full(int((item >= 0).sum()), s)
+                            for s, (item, _, _) in enumerate(columns)])
+    item, correct, stamp = (np.concatenate([c[k][c[0] >= 0] for c in columns])
+                            for k in range(3))
+    _, group = np.unique(group, return_inverse=True)
+    n_students = int(group.max()) + 1
+    mask, item_pad, correct_pad, stamp_pad = padded_rows(group, n_students, item, correct,
+                                                         stamp)
+    lengths = mask.sum(axis=1)
+    width = mask.shape[1]
+    alpha_pad, beta_pad, cidx_pad = alphas[item_pad], betas[item_pad], item_concept[item_pad]
+    time_pad = temporal.event_time(np.broadcast_to(np.arange(1.0, width + 1), mask.shape),
+                                   stamp_pad)
+    theta = np.zeros((n_students, len(precision)))
+    probs = np.zeros(mask.shape)
+    n_unconverged = 0
+    for col in range(width):
+        idx = np.flatnonzero(lengths > col)
+        if col:
+            elapsed = time_pad[idx, col][:, None] - time_pad[idx, :col]
+            a_eff = effective_discriminations(alpha_pad[idx, :col], elapsed, model.nu2)
+            th, converged, _ = batched_vector_map(
+                theta[idx], a_eff, beta_pad[idx, :col], correct_pad[idx, :col],
+                cidx_pad[idx, :col], None, precision, **kw)
+            theta[idx] = th
+            n_unconverged += int((~converged).sum())
+        z = alpha_pad[idx, col] * (theta[idx, cidx_pad[idx, col]] - beta_pad[idx, col])
+        probs[idx, col] = probit(z)
+    return probs[mask], n_unconverged

@@ -48,6 +48,16 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_refuses_an_overflowing_drift_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run_cli("simulate", "--students", "5", "--responses", "5", "--nu2", "1e308",
+                   "--clock", "wall:1", "--arrival", "exp:2880", "--out", str(out))
+    assert code == 2
+    assert "nu2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     args = ["simulate", "--seed", "4", "--students", "6", "--concepts", "2",
             "--items-per-concept", "3", "--responses", "8"]

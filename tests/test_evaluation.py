@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ogive
-from ogive import evaluation
+from ogive import evaluation, inference
 from ogive.calibration import ItemBank
 from ogive.concept_graph import ConceptGraph, build_prior, chain_graph
 from ogive.dataio import Dataset, InteractionRecord
@@ -33,8 +33,9 @@ from ogive.evaluation import (
     write_bucket_tsv,
     write_report_json,
 )
-from ogive.inference import estimate_history
+from ogive.inference import SolverConfig, estimate_history
 from ogive.irt_core import ItemParams, probit
+from reference_objectives import per_event_harness
 
 
 def small_bank(n_items=6, concepts=("c01", "c02")):
@@ -638,22 +639,86 @@ def test_summary_table_layout():
 @pytest.mark.parametrize("kind", ["static_2po", "temporal_2po", "correlated_mvn", "tskirt"])
 def test_one_concept_steps_copy_no_coordinates(monkeypatch, kind):
     # a one-concept objective never reads the coordinate each event reads, so
-    # the harness passes None; handing it the all-zero columns gives the same bits
+    # the harness passes None; handing it the all-zero columns gives the same bits.
+    # Every step's objective is built in one of two places: static kinds build
+    # theirs in the harness, drift kinds through `batched_vector_map`.
     bank = small_bank()
     data = streaming_data(bank, n_students=6, n_events=15)
     model = ModelVariant.from_name(kind)
     graph = ConceptGraph(("c01", "c02"), (("c01", "c02"),))
     report = run_online_evaluation(data, bank, model, graph)
-    solve = evaluation.batched_vector_map
+    build = inference.StackedLogPosterior
     seen = []
 
-    def zero_columns(theta0, a_eff, beta, correct, concept_idx, *rest, **kw):
+    def zero_columns(a_eff, beta, correct, concept_idx, *rest, **kw):
         seen.append(concept_idx is None)
         if concept_idx is None:
             concept_idx = np.zeros(a_eff.shape, dtype=np.intp)
-        return solve(theta0, a_eff, beta, correct, concept_idx, *rest, **kw)
+        return build(a_eff, beta, correct, concept_idx, *rest, **kw)
 
-    monkeypatch.setattr(evaluation, "batched_vector_map", zero_columns)
+    monkeypatch.setattr(evaluation, "StackedLogPosterior", zero_columns)
+    monkeypatch.setattr(inference, "StackedLogPosterior", zero_columns)
     with_columns = run_online_evaluation(data, bank, model, graph)
     assert seen and set(seen) == {not model.is_vector}
     assert report.probabilities.tobytes() == with_columns.probabilities.tobytes()
+
+
+# -- the harness against its per-event oracle ---------------------------------
+#
+# Static kinds hold each history as counted (item, outcome) cells whose terms
+# carry from step to step; drift kinds solve one cell per event.  Either way
+# the harness must predict what a fresh per-event solve of every prefix does.
+
+LATENT_KINDS = ("static_2po", "temporal_2po", "factorial_mvn", "correlated_mvn", "tskirt")
+
+
+def ragged_data(bank, seed):
+    """Streams of 1-40 events, items repeating, many equal timestamps."""
+    rng = np.random.default_rng(seed)
+    ids = list(bank.items)
+    records = []
+    for s, n in enumerate(rng.permutation([1, 2, 7, 12, 25, 33, 40])):
+        stamps = np.cumsum(rng.choice([0, 0, 0, 1, 3600, 9000], size=n))
+        for t in range(n):
+            records.append(InteractionRecord(f"s{s}", ids[int(rng.integers(len(ids)))],
+                                             int(rng.random() < 0.6), int(stamps[t])))
+    return Dataset.from_records(records)
+
+
+@pytest.mark.parametrize("kind", LATENT_KINDS)
+@pytest.mark.parametrize("clock", ["step", "wall"])
+@pytest.mark.parametrize("max_iterations", [100, 1])
+def test_harness_matches_per_event_oracle(kind, clock, max_iterations):
+    bank = small_bank()
+    data = ragged_data(bank, seed=71)
+    model = ModelVariant.from_name(kind)
+    solver = SolverConfig(max_iterations=max_iterations)
+    graph = chain_graph(2)
+    report = run_online_evaluation(data, bank, model, graph, solver, n_buckets=1,
+                                   clock=clock, seconds_per_unit=3600.0)
+    probs, n_unconverged = per_event_harness(data, bank, model, graph, solver, clock, 3600.0)
+    assert report.n_unconverged == n_unconverged
+    assert (n_unconverged > 0) == (max_iterations == 1)
+    if model.nu2 == 0.0:
+        np.testing.assert_allclose(report.probabilities, probs, rtol=0.0, atol=1e-12)
+    else:
+        assert report.probabilities.tobytes() == probs.tobytes()
+
+
+def test_static_harness_cells_grow_linearly_in_stream_length(monkeypatch):
+    # a static step reads one cell per distinct (item, outcome) pair, at most
+    # 40 here, so the kernel's cells grow as T; one cell per event grows as T^2
+    bank = small_bank(n_items=20)
+    kernel = inference.bernoulli_probit_terms
+    cells = []
+
+    def counting(zs):
+        cells[-1] += zs.size
+        return kernel(zs)
+
+    monkeypatch.setattr(inference, "bernoulli_probit_terms", counting)
+    for n_events in (1000, 4000):
+        cells.append(0)
+        run_online_evaluation(streaming_data(bank, n_students=2, n_events=n_events), bank,
+                              ModelVariant.from_name("static_2po"), n_buckets=1)
+    assert cells[1] <= 5 * cells[0]

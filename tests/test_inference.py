@@ -26,9 +26,11 @@ from ogive.inference import (
     SolverConfig,
     StackedLogPosterior,
     batched_vector_map,
+    count_rows,
     estimate_history,
     map_estimate_vector,
     newton_map,
+    padded_rows,
     predict_next,
 )
 from ogive.irt_core import (
@@ -614,3 +616,141 @@ def test_call_is_the_kernel_pass_then_the_reduction():
         _assert_same_bits(got, want)
     for got, want in zip(terms, kept):  # the reduction leaves the terms alone
         _assert_same_bits(got, want)
+
+
+# -- counted cells: a static history as its distinct events with counts ------
+
+
+def _counted_records(rng, n_concepts, n_students=9, n_items=6):
+    """Flat records of ragged streams that repeat (item, outcome) pairs."""
+    lengths = rng.integers(1, 30, size=n_students)
+    group = np.repeat(np.arange(n_students), lengths)
+    rng.shuffle(group)  # groups interleave in record order
+    item = rng.integers(0, n_items, size=len(group))
+    correct = rng.integers(0, 2, size=len(group)).astype(float)
+    a = rng.uniform(0.3, 2.5, size=n_items)[item]
+    beta = rng.uniform(-2, 2, size=n_items)[item]
+    cidx = rng.integers(0, n_concepts, size=n_items)[item]
+    return group, 2 * item + correct.astype(int), a, beta, correct, cidx
+
+
+def test_count_rows_holds_each_record_in_its_cell():
+    rng = np.random.default_rng(80)
+    group, key, a, beta, correct, cidx = _counted_records(rng, 3)
+    slot, counts, *cells = count_rows(group, 10, key, a, beta, correct, cidx)
+    for column, padded in zip((a, beta, correct, cidx), cells):
+        assert np.array_equal(padded[group, slot], column)
+    assert np.array_equal(counts.sum(axis=1), np.bincount(group, minlength=10))
+    assert not counts[9].any()  # a group without records gets an empty row
+    for g in range(9):  # cells left-aligned, in order of first occurrence
+        slots = slot[group == g]
+        first = slots[np.r_[True, np.maximum.accumulate(slots)[:-1] < slots[1:]]]
+        assert np.array_equal(first, np.arange(len(first)))
+        assert np.count_nonzero(counts[g]) == len(first) == len(np.unique(key[group == g]))
+
+
+@pytest.mark.parametrize("prior", ["one_concept", "chain"])
+def test_counted_cells_solve_their_events(prior):
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(81)
+    group, key, a, beta, correct, cidx = _counted_records(rng, len(precision))
+    n = int(group.max()) + 1
+    mask, *events = padded_rows(group, n, a, beta, correct, cidx)
+    _, counts, *cells = count_rows(group, n, key, a, beta, correct, cidx)
+    assert counts.shape[1] < mask.shape[1]
+    theta0 = rng.normal(size=(n, len(precision)))
+    per_event = StackedLogPosterior(*events, mask, precision, 0.25)
+    counted = StackedLogPosterior(*cells, counts, precision, 0.25)
+    for got, want in zip(counted(theta0), per_event(theta0)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    got = newton_map(counted, theta0)
+    want = newton_map(StackedLogPosterior(*events, mask, precision, 0.25), theta0)
+    np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+    assert got[1].all() and want[1].all()
+
+
+@pytest.mark.parametrize("max_iter", [100, 3])
+@pytest.mark.parametrize("prior", ["one_concept", "chain"])
+def test_newton_map_on_counts_from_supplied_terms_matches_a_cold_start(prior, max_iter):
+    # padding cells hold stale terms, as the harness carries them: any finite
+    # values of the kernel's sign give the cold start's bits
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(82)
+    group, key, a, beta, correct, cidx = _counted_records(rng, len(precision))
+    n = int(group.max()) + 1
+    _, counts, a, beta, correct, cidx = count_rows(group, n, key, a, beta, correct, cidx)
+    assert not counts.all()
+    theta0 = rng.normal(scale=2.0, size=(n, len(precision)))
+
+    def rows():
+        return StackedLogPosterior(a, beta, correct, cidx, counts, precision, 0.25)
+
+    cold = newton_map(rows(), theta0, max_iter=max_iter)
+    terms = list(rows().terms(theta0))
+    stale = counts == 0
+    terms[0][stale], terms[1][stale], terms[2][stale] = -3.0, 0.5, -0.25
+    warm = newton_map(rows(), theta0, terms, max_iter=max_iter)
+    for got, want in zip(warm, cold):
+        _assert_same_bits(got, want)
+    assert warm[1].all() == (max_iter == 100)
+    fresh = rows().terms(warm[0])
+    for got, want in zip(terms, fresh):
+        _assert_same_bits(got[~stale], want[~stale])
+
+
+@pytest.mark.parametrize("prior", ["one_concept", "chain"])
+def test_counted_row_keeps_its_bits_beside_wider_rows(prior):
+    # other rows decide how much padding a row carries; its bits must not see it
+    precision = RETIREMENT_PRIORS[prior]
+    rng = np.random.default_rng(83)
+    group, key, a, beta, correct, cidx = _counted_records(rng, len(precision), n_items=40)
+    n = int(group.max()) + 1
+    _, counts, *cells = count_rows(group, n, key, a, beta, correct, cidx)
+    theta0 = rng.normal(size=(n, len(precision)))
+    batch = newton_map(StackedLogPosterior(*cells, counts, precision), theta0)
+    widths = np.count_nonzero(counts, axis=1)
+    assert (widths < counts.shape[1]).sum() == n - 1
+    for s, width in enumerate(widths):
+        alone = newton_map(StackedLogPosterior(
+            *(c[s:s + 1, :width] for c in cells), counts[s:s + 1, :width], precision,
+        ), theta0[s:s + 1])
+        for got, want in zip(alone, batch):
+            _assert_same_bits(got[0], want[s])
+
+
+def test_cell_terms_are_the_full_pass_on_those_cells():
+    precision = RETIREMENT_PRIORS["chain"]
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(84),
+                                                          len(precision))
+    rows = StackedLogPosterior(a, beta, correct, cidx, mask, precision)
+    full = rows.terms(theta0)
+    r, c = np.nonzero(mask)
+    for got, want in zip(rows.cell_terms(theta0, r, c), full):
+        _assert_same_bits(got, want[r, c])
+
+
+def test_terms_read_theta_in_any_memory_layout():
+    precision = RETIREMENT_PRIORS["diamond"]
+    theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(85),
+                                                          len(precision))
+    rows = StackedLogPosterior(a, beta, correct, cidx, mask, precision)
+    wide = np.repeat(theta0, 2, axis=1)
+    for theta in (wide[:, ::2], np.asfortranarray(theta0)):
+        assert not theta.flags.c_contiguous
+        for got, want in zip(rows.terms(theta), rows.terms(theta0)):
+            _assert_same_bits(got, want)
+
+
+def test_static_history_is_solved_on_counted_cells():
+    precision = RETIREMENT_PRIORS["chain"]
+    rng = np.random.default_rng(86)
+    item = rng.integers(0, 5, size=60)
+    correct = rng.integers(0, 2, size=60).astype(float)
+    alphas, betas = rng.uniform(0.3, 2.5, 5)[item], rng.uniform(-2, 2, 5)[item]
+    cidx = rng.integers(0, len(precision), 5)[item]
+    times = np.arange(1.0, 61.0)
+    est = estimate_history(alphas, betas, correct, times, 61.0, 0.0, precision, cidx)
+    per_event = batched_vector_map(np.zeros((1, len(precision))), alphas[None], betas[None],
+                                   correct[None], cidx[None], None, precision)
+    assert est.converged and per_event[1][0]
+    np.testing.assert_allclose(est.theta, per_event[0][0], rtol=0.0, atol=1e-12)

@@ -317,3 +317,17 @@ def test_write_truth_outputs(tmp_path):
         theta = np.array(obj["theta"])
         assert theta.shape == (len(obj["times"]), 3)
         np.testing.assert_allclose(theta, result.paths[obj["student_id"]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drift_past_float_range_is_refused_before_anything_is_drawn_from_it():
+    # a 2880 s mean gap on a one-second wall clock: nu2 * gap overflows
+    wall = dict(true_temporal=TemporalConfig(1e308, "wall", 1.0),
+                inter_arrival="exponential", mean_inter_arrival_seconds=2880.0,
+                n_students=5, responses_per_student=5)
+    with pytest.raises(ValueError, match="nu2=1e.308 is too large"):
+        generate(scenario(**wall))
+    # the same drift on the step clock (gaps of 1) stays finite
+    result = generate(scenario(true_temporal=TemporalConfig(1e308), n_students=5,
+                               responses_per_student=5))
+    assert all(np.isfinite(theta).all() for theta in result.paths.values())
