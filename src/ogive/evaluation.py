@@ -394,20 +394,17 @@ def run_online_evaluation(
             # step's solve ends with are the next step's at its warm start,
             # and only the cell a step opens needs a kernel pass
             slot_pad = slot_pad[0]
-            opened = np.maximum.accumulate(slot_pad, axis=1) + 1
-            opens = slot_pad == np.pad(opened[:, :-1], ((0, 0), (1, 0)))
+            opened = np.maximum.accumulate(slot_pad, axis=1) + 1  # cells opened so far
             counts = np.zeros(a_cell.shape)
-            a_open = np.zeros(a_cell.shape)  # each cell's discrimination once opened, else 0
             carried = [np.zeros(a_cell.shape) for _ in range(3)]
 
         def static_solve(n, col):
-            cells = slot_pad[:n, col - 1]
-            counts[live_rows[:n], cells] += 1.0
-            new = np.flatnonzero(opens[:n, col - 1])
-            a_open[new, cells[new]] = a_cell[new, cells[new]]
+            rows, cells = live_rows[:n], slot_pad[:n, col - 1]
+            counts[rows, cells] += 1.0
+            new = np.flatnonzero(counts[rows, cells] == 1.0)  # rows whose cell opens here
             hist = slice(0, opened[:n, col - 1].max())
             objective = StackedLogPosterior(
-                a_open[:n, hist], b_cell[:n, hist], r_cell[:n, hist],
+                a_cell[:n, hist], b_cell[:n, hist], r_cell[:n, hist],
                 None if one_concept else c_cell[:n, hist], counts[:n, hist], precision)
             views = [buf[:n, hist] for buf in carried]
             if len(new):

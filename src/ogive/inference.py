@@ -24,9 +24,8 @@ those columns.  Every padded layout the solver reads, in the harness and in
 calibration, comes from `padded_rows`.  Cells carry counts, which generalize
 the boolean mask: a cell counted k times weights its log-likelihood, gradient
 and curvature by k, and a zero count is padding.  Without drift an event's
-terms never change with time, so a static history is held as its distinct
-(item, outcome) cells with counts (`count_rows`), one layout for the harness
-and for `estimate_history`.
+terms never change with time, so the harness holds a static history as its
+distinct (item, outcome) cells with counts (`count_rows`).
 """
 
 from __future__ import annotations
@@ -131,21 +130,12 @@ def estimate_history(
     if np.any(elapsed < 0):
         raise ValueError(f"event {int(np.argmax(elapsed < 0))} is after now={now}")
     check_drift_finite(nu2, alphas.max(), elapsed.max())
-    if nu2 == 0.0:  # events that agree on every column share a cell
-        _, key = np.unique(np.column_stack([alphas, betas, correct, concept_idx]), axis=0,
-                           return_inverse=True)
-        _, counts, a_eff, betas, correct, concept_idx = count_rows(
-            np.zeros(len(alphas), dtype=np.intp), 1, key.ravel(),
-            alphas, betas, correct, concept_idx)
-    else:
-        counts = None
-        a_eff = effective_discriminations(alphas, elapsed, nu2)[None]
-        betas, correct, concept_idx = betas[None], correct[None], concept_idx[None]
-    objective = StackedLogPosterior(a_eff, betas, correct,
-                                    None if len(precision) == 1 else concept_idx, counts,
-                                    precision)
-    theta, converged, iterations = newton_map(objective, theta0, None,
-                                              solver.gradient_tolerance, solver.max_iterations)
+    a_eff = effective_discriminations(alphas, elapsed, nu2)
+    theta, converged, iterations = batched_vector_map(
+        theta0, a_eff[None], betas[None], correct[None],
+        None if len(precision) == 1 else concept_idx[None], None, precision,
+        solver.gradient_tolerance, solver.max_iterations,
+    )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
 
 
@@ -187,8 +177,9 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
 #
 # Array contract: event arrays have shape (S, T) with per-cell counts, or None
 # when every cell holds one event; a boolean mask is the 0/1 case.  Cells of
-# count zero are padding and must carry a_eff == 0, so padding contributes
-# zero gradient and curvature; the count zeroes its log-likelihood term.
+# count zero are padding.  Under a mask they must carry a_eff == 0, so padding
+# contributes zero gradient and curvature, and the mask zeroes their
+# log-likelihood; numeric counts weight every term, so a zero count zeroes all three.
 # `padded_rows` builds the per-event layouts and `count_rows` the counted ones
 # from flat per-record columns.
 

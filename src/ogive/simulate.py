@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import ItemBank
 from .concept_graph import ConceptGraph, StructuredPrior, build_prior
 from .dataio import Dataset, InteractionRecord
-from .irt_core import STATIC, ItemParams, TemporalConfig, probit
+from .irt_core import STATIC, ItemParams, TemporalConfig, check_drift_finite, probit
 
 TRUTH_FORMAT_VERSION = "1"
 
@@ -197,12 +197,7 @@ def generate(scenario: SimulationScenario) -> SimulationResult:
             if chol_shape is not None:
                 z = z @ chol_shape.T
             dt = np.diff(units)
-            # Python floats overflow to inf without numpy's warning
-            if not math.isfinite(nu2 * float(dt.max())):
-                raise ValueError(
-                    f"nu2={nu2} is too large: nu2 * clock gap overflows (student {sid}, "
-                    f"largest gap {float(dt.max())} clock units)"
-                )
+            check_drift_finite(nu2, 1.0, dt.max())  # the variance nu2 * gap is alpha = 1's
             theta[1:] = theta0 + np.cumsum(np.sqrt(nu2 * dt)[:, None] * z, axis=0)
 
         cidx = item_concept_idx[items]

@@ -739,18 +739,3 @@ def test_terms_read_theta_in_any_memory_layout():
         assert not theta.flags.c_contiguous
         for got, want in zip(rows.terms(theta), rows.terms(theta0)):
             _assert_same_bits(got, want)
-
-
-def test_static_history_is_solved_on_counted_cells():
-    precision = RETIREMENT_PRIORS["chain"]
-    rng = np.random.default_rng(86)
-    item = rng.integers(0, 5, size=60)
-    correct = rng.integers(0, 2, size=60).astype(float)
-    alphas, betas = rng.uniform(0.3, 2.5, 5)[item], rng.uniform(-2, 2, 5)[item]
-    cidx = rng.integers(0, len(precision), 5)[item]
-    times = np.arange(1.0, 61.0)
-    est = estimate_history(alphas, betas, correct, times, 61.0, 0.0, precision, cidx)
-    per_event = batched_vector_map(np.zeros((1, len(precision))), alphas[None], betas[None],
-                                   correct[None], cidx[None], None, precision)
-    assert est.converged and per_event[1][0]
-    np.testing.assert_allclose(est.theta, per_event[0][0], rtol=0.0, atol=1e-12)
