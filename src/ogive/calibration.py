@@ -7,12 +7,15 @@ parameters fixed, each block is a one-concept probit MAP problem under a
 normal prior, so every half-step runs the batched Newton solver
 `newton_map`: students over student-major rows, items over item-major rows,
 the item half-step as ITEM_SWEEPS sweeps of a difficulty block then a
-discrimination block clipped at the floor.  All blocks maximize the same
-penalized joint log-posterior, so the objective is nondecreasing across
-half-steps; that is checked every round.  All blocks also evaluate the
-kernel at the same arguments on the same cells, so each block starts from
-the per-cell terms the previous one ended with, and the joint objective is
-the sum of their log-likelihoods: no kernel pass is repeated.
+discrimination block clipped at the floor.  Both layouts come from
+`count_rows`: a student's responses to one item with one outcome share a
+cell, weighted by their count, and each cell has one twin in the other
+layout.  All blocks maximize the same penalized joint log-posterior, so the
+objective is nondecreasing across half-steps; that is checked every round.
+All blocks also evaluate the kernel at the same arguments on the same
+cells, so each block starts from the per-cell terms the previous one ended
+with, and the joint objective is the count-weighted sum of their
+log-likelihoods: no kernel pass is repeated.
 
 The latent scale is pinned by the fixed student prior N(0, 0.5), the same
 prior the online models use, so calibrated banks feed inference without
@@ -29,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .dataio import DataError, Dataset
-from .inference import StackedLogPosterior, newton_map, padded_rows
+from .inference import StackedLogPosterior, count_rows, newton_map
 from .irt_core import ItemParams
 
 
@@ -129,7 +132,7 @@ class ItemBank:
     @classmethod
     def load_csv(cls, path) -> "ItemBank":
         items: dict[str, ItemParams] = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != list(BANK_HEADER):
@@ -187,26 +190,27 @@ def calibrate(
     s_idx = np.array([s_index[r.student_id] for r in records])
     q_idx = np.array([q_index[r.item_id] for r in records])
     resp = np.array([r.correct for r in records], dtype=float)
-    counts = {item_ids[j]: int(c) for j, c in enumerate(np.bincount(q_idx, minlength=n_items))}
+    responses = {item_ids[j]: int(c) for j, c in enumerate(np.bincount(q_idx, minlength=n_items))}
 
     # student-major rows for the student half-step, item-major for the item
-    # one; records come student by student, so the valid cells of the student
-    # layout hold them in record order, row by row
-    mask, ev_item, ev_resp = padded_rows(s_idx, n_students, q_idx, resp)
-    item_mask, item_student, item_resp, item_record = padded_rows(
-        q_idx, n_items, s_idx, resp, np.arange(len(records)))
-    # the flat cell each cell of one layout reads in the other: the same
-    # record's, or record 0's for a padded cell, whose ll is then zeroed
-    from_students = np.flatnonzero(mask)[item_record]
-    item_cell = np.empty(len(records), dtype=np.intp)
-    item_cell[item_record[item_mask]] = np.flatnonzero(item_mask)
-    from_items = np.zeros(mask.shape, dtype=np.intp)
-    from_items[mask] = item_cell
+    # one; a student's records of one item with one outcome share a cell,
+    # counted, in both layouts
+    outcome = resp > 0
+    student_slot, counts, ev_item, ev_resp = count_rows(
+        s_idx, n_students, 2 * q_idx + outcome, q_idx, resp)
+    item_slot, item_counts, item_student, item_resp = count_rows(
+        q_idx, n_items, 2 * s_idx + outcome, s_idx, resp)
+    # the flat cell each cell of one layout reads in the other: its twin, the
+    # cell of the same (student, item, outcome), or cell 0 for a padded cell
+    student_cell = s_idx * counts.shape[1] + student_slot
+    item_cell = q_idx * item_counts.shape[1] + item_slot
+    from_students = np.zeros(item_counts.shape, dtype=np.intp)
+    np.put(from_students, item_cell, student_cell)
+    from_items = np.zeros(counts.shape, dtype=np.intp)
+    np.put(from_items, student_cell, item_cell)
     # only the layouts are read from here on
-    del records, s_idx, q_idx, resp, item_record, item_cell
-    student_pad = None if mask.all() else ~mask
-    item_pad = None if item_mask.all() else ~item_mask
-    item_zero = np.zeros(item_mask.shape)
+    del records, s_idx, q_idx, resp, outcome, student_slot, item_slot, student_cell, item_cell
+    item_zero = np.zeros(item_counts.shape)
 
     lam_student = 1.0 / (2.0 * STUDENT_PRIOR_VARIANCE)
     student_precision = np.array([[2.0 * lam_student]])
@@ -217,8 +221,8 @@ def calibrate(
     theta = np.zeros(n_students)
 
     def joint_objective(ll, th, a, b) -> float:
-        """The joint log-posterior from the student layout's ll, summed in record order."""
-        value = float(ll[mask].sum())
+        """The joint log-posterior from the student layout's ll, weighted by the counts."""
+        value = float((ll * counts).sum())
         value -= lam_student * float(((th - STUDENT_PRIOR_MEAN) ** 2).sum())
         value -= float(((b - DIFFICULTY_PRIOR_MEAN) ** 2).sum()) / (
             2.0 * DIFFICULTY_PRIOR_VARIANCE
@@ -228,7 +232,7 @@ def calibrate(
         )
         return value
 
-    def relayout(terms, cells, pad):
+    def relayout(terms, cells):
         """Move the list of per-cell terms to the other layout in place.
 
         `cells` names each cell's source cell; one array at a time, so the
@@ -236,17 +240,14 @@ def calibrate(
         """
         for k, t in enumerate(terms):
             terms[k] = np.take(t, cells)
-        if pad is not None:
-            terms[0][pad] = 0.0
 
     def student_rows(a, b):
-        return StackedLogPosterior(np.where(mask, a[ev_item], 0.0), b[ev_item], ev_resp, None,
-                                   mask, student_precision, STUDENT_PRIOR_MEAN)
+        return StackedLogPosterior(a[ev_item], b[ev_item], ev_resp, None, counts,
+                                   student_precision, STUDENT_PRIOR_MEAN)
 
     def discrimination_rows(th, b, rows=slice(None)):
-        a_eff = np.where(item_mask[rows], th[rows] - b[rows, None], 0.0)
-        return StackedLogPosterior(a_eff, item_zero[rows], item_resp[rows], None,
-                                   item_mask[rows], discrimination_precision,
+        return StackedLogPosterior(th[rows] - b[rows, None], item_zero[rows], item_resp[rows],
+                                   None, item_counts[rows], discrimination_precision,
                                    DISCRIMINATION_PRIOR_MEAN)
 
     # Every block evaluates the kernel at z = +-alpha*(theta - beta) on the same
@@ -275,13 +276,13 @@ def calibrate(
         # probit in beta and z = (theta - beta) alpha one in alpha; each block
         # is strictly concave in one variable, so clipping alpha's maximizer
         # at the floor gives the constrained maximizer
-        relayout(terms, from_students, item_pad)
+        relayout(terms, from_students)
         th_items = theta[item_student]
         new_alpha, new_beta = alpha, beta
         for _ in range(ITEM_SWEEPS):
             new_beta = newton_map(StackedLogPosterior(
-                np.where(item_mask, -new_alpha[:, None], 0.0), th_items, item_resp, None,
-                item_mask, difficulty_precision, DIFFICULTY_PRIOR_MEAN,
+                -new_alpha[:, None], th_items, item_resp, None, item_counts,
+                difficulty_precision, DIFFICULTY_PRIOR_MEAN,
             ), new_beta[:, None], terms)[0][:, 0]
             solved = newton_map(discrimination_rows(th_items, new_beta),
                                 new_alpha[:, None], terms)[0][:, 0]
@@ -292,7 +293,7 @@ def calibrate(
                     new_alpha[clipped, None])
                 for t, f in zip(terms, fresh):
                     t[clipped] = f
-        relayout(terms, from_items, student_pad)
+        relayout(terms, from_items)
         after_items = joint_objective(terms[0], theta, new_alpha, new_beta)
         slack = 1e-9 * max(1.0, abs(after_students))
         if after_items < after_students - slack:
@@ -322,7 +323,7 @@ def calibrate(
     meta = CalibrationMeta(
         rounds=rounds_run,
         final_delta=final_delta,
-        response_counts=counts,
+        response_counts=responses,
         floored_items=floored,
         objective=float(objective) if rounds_run else None,
     )

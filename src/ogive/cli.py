@@ -194,13 +194,13 @@ def _variant(name, resolved: dict) -> ModelVariant:
 
 def _concept_map_from_file(path) -> dict[str, str]:
     """Item-to-concept mapping from a bank CSV or a 2-column TSV."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
     if first.strip().startswith("item_id,concept_id"):
         bank = ItemBank.load_csv(path)
         return {i: p.concept_id for i, p in bank.items.items()}
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

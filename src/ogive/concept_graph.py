@@ -213,7 +213,7 @@ def parse_graph(text: str) -> ConceptGraph:
 
 
 def load_graph(path) -> ConceptGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 

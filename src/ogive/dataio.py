@@ -135,7 +135,9 @@ def load_interactions(path, format: str = "csv", strict: bool = False) -> Datase
             raise DataError(f"{path}: line {lineno}: {reason}")
         errors.append((lineno, reason))
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise glue itself to
+    # the first header field or JSON line
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         if format == "csv":
             reader = csv.reader(fh)
             try:
@@ -168,6 +170,10 @@ def load_interactions(path, format: str = "csv", strict: bool = False) -> Datase
                     missing = [k for k in _FIELDS if k not in obj]
                     if missing:
                         raise DataError(f"missing keys: {', '.join(missing)}")
+                    for key in ("student_id", "item_id"):
+                        if isinstance(obj[key], bool) or not isinstance(obj[key], (str, int)):
+                            raise DataError(f"{key} must be a string or an integer, "
+                                            f"got {json.dumps(obj[key])}")
                     records.append(_coerce_row(ids, *(obj[k] for k in _FIELDS)))
                 except (DataError, ValueError) as exc:
                     bad(lineno, str(exc))

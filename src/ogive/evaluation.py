@@ -29,7 +29,6 @@ from .inference import (
     batched_vector_map,
     count_rows,
     newton_map,
-    padded_rows,
 )
 from .irt_core import (
     PROB_FLOOR,
@@ -349,7 +348,10 @@ def run_online_evaluation(
             group, n_students, 2 * item + (correct > 0), alphas[item], betas[item], correct,
             item_concept[item])
         columns.append(slot)
-    mask, item_pad, correct_pad, stamp_pad, *slot_pad = padded_rows(group, n_students, *columns)
+    # one cell per event: each record is its own key
+    _, events, item_pad, correct_pad, stamp_pad, *slot_pad = count_rows(
+        group, n_students, np.arange(len(group)), *columns)
+    mask = events > 0
     lengths = mask.sum(axis=1)
     width = mask.shape[1]
     n_live = np.cumsum(np.bincount(lengths, minlength=width + 1)[::-1])[::-1]
@@ -385,7 +387,7 @@ def run_online_evaluation(
             a_eff = effective_discriminations(alpha_pad[:n, hist], elapsed, model.nu2)
             return batched_vector_map(
                 theta[:n], a_eff, beta_pad[:n, hist], correct_pad[:n, hist],
-                None if one_concept else cidx_pad[:n, hist], None, precision, tol, max_iter,
+                None if one_concept else cidx_pad[:n, hist], precision, tol, max_iter,
             )
 
         if static:

@@ -21,11 +21,12 @@ the event columns the harness builds (discrimination, difficulty, outcome,
 clock time, coordinate) and is the same solver at S = 1, returning exactly
 its row.  `map_estimate_vector` only turns a list of `ResponseEvent`s into
 those columns.  Every padded layout the solver reads, in the harness and in
-calibration, comes from `padded_rows`.  Cells carry counts, which generalize
-the boolean mask: a cell counted k times weights its log-likelihood, gradient
-and curvature by k, and a zero count is padding.  Without drift an event's
-terms never change with time, so the harness holds a static history as its
-distinct (item, outcome) cells with counts (`count_rows`).
+calibration, comes from `count_rows`, which puts the records of a group that
+share a key in one cell and counts them: a cell counted k times weights its
+log-likelihood, gradient and curvature by k, and a zero count is padding.  A
+key unique per record gives each record its own cell.  Without drift an
+event's terms never change with time, so the harness holds a static history
+as its distinct (item, outcome) cells.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def estimate_history(
     a_eff = effective_discriminations(alphas, elapsed, nu2)
     theta, converged, iterations = batched_vector_map(
         theta0, a_eff[None], betas[None], correct[None],
-        None if len(precision) == 1 else concept_idx[None], None, precision,
+        None if len(precision) == 1 else concept_idx[None], precision,
         solver.gradient_tolerance, solver.max_iterations,
     )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
@@ -176,68 +177,44 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
 # -- the batched lockstep solver ----------------------------------------------
 #
 # Array contract: event arrays have shape (S, T) with per-cell counts, or None
-# when every cell holds one event; a boolean mask is the 0/1 case.  Cells of
-# count zero are padding.  Under a mask they must carry a_eff == 0, so padding
-# contributes zero gradient and curvature, and the mask zeroes their
-# log-likelihood; numeric counts weight every term, so a zero count zeroes all three.
-# `padded_rows` builds the per-event layouts and `count_rows` the counted ones
-# from flat per-record columns.
-
-
-def _cells(group: np.ndarray, n_groups: int):
-    """(mask, order, cols): record order[i] fills column cols[i] of row group[order[i]].
-
-    Each row holds its group's records left-aligned in record order, and
-    every group gets a row, all masked when it holds no records.
-    """
-    lengths = np.bincount(group, minlength=n_groups)
-    order = np.argsort(group, kind="stable")
-    cols = np.arange(len(group)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    mask = np.zeros((n_groups, int(lengths.max())), dtype=bool)
-    mask[group[order], cols] = True
-    return mask, order, cols
-
-
-def _pad(mask, rows, cols, column):
-    """Zeros of mask's shape holding `column` at (rows, cols)."""
-    out = np.zeros(mask.shape, dtype=column.dtype)
-    out[rows, cols] = column
-    return out
-
-
-def padded_rows(group: np.ndarray, n_groups: int, *columns: np.ndarray):
-    """Rows of `columns` grouped by `group` in record order: (mask, *padded columns).
-
-    Row g holds the records of group g left-aligned, padded cells are 0, and
-    every group gets a row, all masked when it holds no records.
-    """
-    mask, order, cols = _cells(group, n_groups)
-    rows = group[order]
-    return (mask, *(_pad(mask, rows, cols, column[order]) for column in columns))
+# when every cell holds one event.  Cells of count zero are padding: counts
+# weight every term, so a zero count zeroes all three, and padded cells need
+# only carry finite values.  `count_rows` builds every padded layout from
+# flat per-record columns.
 
 
 def count_rows(group: np.ndarray, n_groups: int, key: np.ndarray, *columns: np.ndarray):
     """Distinct records of each group, one cell each: (slot, counts, *padded columns).
 
     Records of one group with equal integer `key` share a cell, so they must
-    agree on every column; row g holds group g's cells left-aligned in order
-    of first occurrence.  Record i fills cell slot[i] of its row, counts[g, k]
-    is how many records fill cell k of row g (0 on padding), and the columns
-    hold each cell's values (0 on padding).
+    agree on every column; a key unique per record gives each its own cell.
+    Row g holds group g's cells left-aligned in order of first occurrence, and
+    every group gets a row, empty when it holds no records.  Record i fills
+    cell slot[i] of its row, counts[g, k] is how many records fill cell k of
+    row g (0 on padding), and the columns hold each cell's values (0 on
+    padding).
     """
     pair = group * (int(key.max()) + 1) + key
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
     by_first = np.argsort(first)  # distinct pairs in order of first occurrence
     openers = first[by_first]
-    mask, order, cols = _cells(group[openers], n_groups)
+    cell_group = group[openers]
+    widths = np.bincount(cell_group, minlength=n_groups)
+    order = np.argsort(cell_group, kind="stable")
+    cols = np.arange(len(openers)) - np.repeat(np.cumsum(widths) - widths, widths)
     slot_of = np.empty(len(openers), dtype=np.intp)
     slot_of[by_first[order]] = cols
     slot = slot_of[inverse]
-    counts = np.bincount(group * mask.shape[1] + slot, minlength=mask.size)
-    openers = openers[order]
-    rows = group[openers]
-    return (slot, counts.reshape(mask.shape).astype(float),
-            *(_pad(mask, rows, cols, column[openers]) for column in columns))
+    shape = (n_groups, int(widths.max()))
+    counts = np.bincount(group * shape[1] + slot, minlength=shape[0] * shape[1])
+    openers, rows = openers[order], cell_group[order]
+
+    def padded(column):
+        out = np.zeros(shape, dtype=column.dtype)
+        out[rows, cols] = column[openers]
+        return out
+
+    return (slot, counts.reshape(shape).astype(float), *map(padded, columns))
 
 
 class StackedLogPosterior:
@@ -251,8 +228,7 @@ class StackedLogPosterior:
     parts: `terms`, the kernel pass, and `reduce`, which turns those per-cell
     terms into the three results.  `direction` forms and solves the Newton
     system, the only place the solver meets P.  counts None means every cell
-    holds one event; a boolean mask is the 0/1 case, whose padded terms are
-    zeroed, while numeric counts weight every term, so a zero count is
+    holds one event; otherwise counts weight every term, so a zero count is
     padding and its terms need only be finite.  What is fixed for a whole
     solve is built once here, not per call: the response signs folded into
     the discriminations (signed_a), the count-weighted discriminations the
@@ -270,13 +246,11 @@ class StackedLogPosterior:
                  prior_mean: float = 0.0):
         self.signed_a = np.where(correct > 0, a_eff, -a_eff)
         a_sq = a_eff * a_eff
-        self.weight = None if counts is None or counts.dtype == bool else counts
-        if self.weight is None:
+        self.weight = counts
+        if counts is None:
             self.grad_a, self.curv_a = self.signed_a, a_sq
-            self.pad = None if counts is None or counts.all() else ~counts
         else:
             self.grad_a, self.curv_a = self.signed_a * counts, a_sq * counts
-            self.pad = None
             # each row's cells up to its last counted one; what lies past it
             # is padding that other rows of the batch decide
             self.extent = counts.shape[1] - np.argmax(counts[:, ::-1] != 0, axis=1)
@@ -314,15 +288,12 @@ class StackedLogPosterior:
         self.signed_a, self.curv_a, self.beta = signed_a, self.curv_a[rows], self.beta[rows]
         if self.weight is not None:
             self.weight, self.extent = self.weight[rows], self.extent[rows]
-        if self.pad is not None:
-            pad = self.pad[rows]
-            self.pad = pad if pad.any() else None
         if self.concept_idx is not None:
             self.concept_idx = self.concept_idx[rows]
         self._scatter_index()
 
     def terms(self, theta: np.ndarray):
-        """The kernel pass at an (S, C) theta: per-cell (ll, mills, d2), masked ll 0.
+        """The kernel pass at an (S, C) theta: per-cell (ll, mills, d2).
 
         These are the kernel's outputs in the signed argument, before the
         discriminations and counts scale them, so any objective that forms
@@ -334,10 +305,7 @@ class StackedLogPosterior:
             zs = theta.take(self.cell_idx)
             zs -= self.beta
         zs *= self.signed_a
-        ll, mills, d2 = bernoulli_probit_terms(zs)
-        if self.pad is not None:
-            ll[self.pad] = 0.0
-        return ll, mills, d2
+        return bernoulli_probit_terms(zs)
 
     def cell_terms(self, theta: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         """The kernel pass on cells (rows[i], cols[i]) only: 1-d (ll, mills, d2).
@@ -413,21 +381,18 @@ def batched_vector_map(
     beta: np.ndarray,
     correct: np.ndarray,
     concept_idx: Optional[np.ndarray],
-    mask: Optional[np.ndarray],
     precision: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
-    prior_mean: float = 0.0,
 ):
-    """Solve S independent MAP problems sharing one prior precision and mean.
+    """Solve S independent MAP problems of one event per cell under one zero-mean prior.
 
     theta0 is (S, C); event arrays are (S, T); concept_idx holds the coordinate
-    each event reads (0 on padded cells) and may be None when C == 1; mask
-    None means every cell is valid.  `newton_map` from a cold start, returning
-    (theta, converged, iterations) with shapes (S, C), (S,) bool and (S,) int.
+    each event reads and may be None when C == 1.  `newton_map` from a cold
+    start, returning (theta, converged, iterations) with shapes (S, C), (S,)
+    bool and (S,) int.
     """
-    objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, mask,
-                                    precision, prior_mean)
+    objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, None, precision)
     return newton_map(objective, theta0, None, tol, max_iter)
 
 
@@ -437,12 +402,12 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
 
     terms is the list [ll, mills, d2] of per-cell terms at theta0, or None
     to compute them for the first evaluation only.  It must equal
-    `objective.terms(theta0)` bit for bit on valid cells, and in ll under a
-    mask; padded terms need only be finite and mills and d2 of the kernel's
-    sign, since the zero discriminations and counts there turn them into
-    the same signed zeros.  A list passed in is updated in place to the
-    terms at each row's solution: its entries are replaced by whole arrays
-    or written through, so a caller holding views reads the list back.
+    `objective.terms(theta0)` bit for bit on counted cells; padded terms need
+    only be finite and of the kernel's signs, since the zero counts there
+    turn them into the same signed zeros.  A list passed in is updated in
+    place to the terms at each row's solution: its entries are replaced by
+    whole arrays or written through, so a caller holding views reads the
+    list back.
     The objective forms each Newton step (`direction`); the solver never
     reads the prior.  A row is done when its max-abs gradient entry drops to
     tol (converged) or its line search finds no acceptable step (stalled);

@@ -9,13 +9,13 @@ prior's log-density summed edge by edge, the oracle of `build_prior`'s
 precision matrix.  `unsigned_probit_terms` is the kernel as it
 was written before the response sign moved out of it, kept as the bit-for-bit
 oracle of the signed kernel.  `calibrate_with_fresh_passes` is the
-calibration loop as it was before its blocks shared per-cell terms: every
-block starts with its own kernel pass and the joint objective makes one
-more, kept as the bit-for-bit oracle of `calibrate`.  `per_event_harness`
-is the online harness as it was before static histories became counted
-cells: every step copies each live student's whole history, one cell per
-event, and solves it from a fresh kernel pass, the oracle of
-`run_online_evaluation`.
+calibration loop as it was before its blocks shared per-cell terms, on
+the same counted cells: every block starts with its own kernel pass and the
+joint objective makes one more, kept as the bit-for-bit oracle of
+`calibrate`.  `per_event_harness` is the online harness as it was before
+static histories became counted cells: every step copies each live
+student's whole history, one cell per event, and solves it from a fresh
+kernel pass, the oracle of `run_online_evaluation`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy.special import log_ndtr
 from ogive import calibration
 from ogive.evaluation import model_prior, record_columns
 from ogive.concept_graph import StructuredPrior
-from ogive.inference import batched_vector_map, padded_rows
+from ogive.inference import StackedLogPosterior, batched_vector_map, count_rows, newton_map
 from ogive.irt_core import (
     _LOG_SQRT_2PI,
     _TAIL_Z,
@@ -194,8 +194,9 @@ def approx_log_posterior_vector(theta_vec: np.ndarray,
 def calibrate_with_fresh_passes(training, config):
     """(item ids, alpha, beta, rounds, final_delta, objective, floored ids) of the old loop.
 
-    Each of a round's blocks is a cold `batched_vector_map` call, and the
-    joint objective is a separate kernel pass in record order.
+    Each of a round's blocks is a cold `newton_map` call on `calibrate`'s
+    counted layouts, and the joint objective is a separate kernel pass over
+    the student layout's cells, weighted by their counts.
     """
     c = calibration
     records = training.all_records()
@@ -207,10 +208,12 @@ def calibrate_with_fresh_passes(training, config):
     s_idx = np.array([s_index[r.student_id] for r in records])
     q_idx = np.array([q_index[r.item_id] for r in records])
     resp = np.array([r.correct for r in records], dtype=float)
-    mask, ev_item, ev_resp = padded_rows(s_idx, n_students, q_idx, resp)
-    item_mask, item_student, item_resp = padded_rows(q_idx, n_items, s_idx, resp)
-    ev_concept = np.zeros(mask.shape, dtype=np.intp)
-    item_concept = np.zeros(item_mask.shape, dtype=np.intp)
+    _, counts, ev_item, ev_resp = count_rows(
+        s_idx, n_students, 2 * q_idx + (resp > 0), q_idx, resp)
+    _, item_counts, item_student, item_resp = count_rows(
+        q_idx, n_items, 2 * s_idx + (resp > 0), s_idx, resp)
+    ev_concept = np.zeros(counts.shape, dtype=np.intp)
+    item_concept = np.zeros(item_counts.shape, dtype=np.intp)
     lam_student = 1.0 / (2.0 * c.STUDENT_PRIOR_VARIANCE)
     student_precision = np.array([[2.0 * lam_student]])
     difficulty_precision = np.array([[1.0 / c.DIFFICULTY_PRIOR_VARIANCE]])
@@ -219,13 +222,13 @@ def calibrate_with_fresh_passes(training, config):
     alpha = np.full(n_items, max(c.DISCRIMINATION_PRIOR_MEAN, floor))
     beta = np.full(n_items, c.DIFFICULTY_PRIOR_MEAN)
     theta = np.zeros(n_students)
-    sign = np.where(resp > 0, 1.0, -1.0)
+    sign = np.where(ev_resp > 0, 1.0, -1.0)
 
     def joint_objective(th, a, b) -> float:
-        zs = a[q_idx] * (th[s_idx] - b[q_idx])
+        zs = a[ev_item] * (th[:, None] - b[ev_item])
         zs *= sign
         ll, _, _ = bernoulli_probit_terms(zs)
-        value = float(ll.sum())
+        value = float((ll * counts).sum())
         value -= lam_student * float(((th - c.STUDENT_PRIOR_MEAN) ** 2).sum())
         value -= float(((b - c.DIFFICULTY_PRIOR_MEAN) ** 2).sum()) / (
             2.0 * c.DIFFICULTY_PRIOR_VARIANCE)
@@ -237,25 +240,25 @@ def calibrate_with_fresh_passes(training, config):
     objective = joint_objective(theta, alpha, beta)
     for _ in range(config.max_outer_rounds):
         rounds_run += 1
-        theta = batched_vector_map(
-            theta[:, None], np.where(mask, alpha[ev_item], 0.0), beta[ev_item], ev_resp,
-            ev_concept, mask, student_precision, prior_mean=c.STUDENT_PRIOR_MEAN,
-        )[0][:, 0]
+        theta = newton_map(StackedLogPosterior(
+            alpha[ev_item], beta[ev_item], ev_resp, ev_concept, counts, student_precision,
+            c.STUDENT_PRIOR_MEAN,
+        ), theta[:, None])[0][:, 0]
         after_students = joint_objective(theta, alpha, beta)
         assert after_students >= objective - 1e-9 * max(1.0, abs(objective))
         th_items = theta[item_student]
         new_alpha, new_beta = alpha, beta
         for _ in range(c.ITEM_SWEEPS):
-            new_beta = batched_vector_map(
-                new_beta[:, None], np.where(item_mask, -new_alpha[:, None], 0.0), th_items,
-                item_resp, item_concept, item_mask, difficulty_precision,
-                prior_mean=c.DIFFICULTY_PRIOR_MEAN,
-            )[0][:, 0]
-            new_alpha = np.maximum(batched_vector_map(
-                new_alpha[:, None], np.where(item_mask, th_items - new_beta[:, None], 0.0),
-                np.zeros(item_mask.shape), item_resp, item_concept, item_mask,
-                discrimination_precision, prior_mean=c.DISCRIMINATION_PRIOR_MEAN,
-            )[0][:, 0], floor)
+            new_beta = newton_map(StackedLogPosterior(
+                np.repeat(-new_alpha[:, None], item_counts.shape[1], axis=1), th_items,
+                item_resp, item_concept, item_counts, difficulty_precision,
+                c.DIFFICULTY_PRIOR_MEAN,
+            ), new_beta[:, None])[0][:, 0]
+            new_alpha = np.maximum(newton_map(StackedLogPosterior(
+                th_items - new_beta[:, None], np.zeros(item_counts.shape), item_resp,
+                item_concept, item_counts, discrimination_precision,
+                c.DISCRIMINATION_PRIOR_MEAN,
+            ), new_alpha[:, None])[0][:, 0], floor)
         after_items = joint_objective(theta, new_alpha, new_beta)
         assert after_items >= after_students - 1e-9 * max(1.0, abs(after_students))
         final_delta = float(
@@ -288,8 +291,9 @@ def per_event_harness(data, bank, model, prior_graph=None, solver=None, clock="s
                             for k in range(3))
     _, group = np.unique(group, return_inverse=True)
     n_students = int(group.max()) + 1
-    mask, item_pad, correct_pad, stamp_pad = padded_rows(group, n_students, item, correct,
-                                                         stamp)
+    _, events, item_pad, correct_pad, stamp_pad = count_rows(
+        group, n_students, np.arange(len(group)), item, correct, stamp)
+    mask = events > 0
     lengths = mask.sum(axis=1)
     width = mask.shape[1]
     alpha_pad, beta_pad, cidx_pad = alphas[item_pad], betas[item_pad], item_concept[item_pad]
@@ -305,7 +309,7 @@ def per_event_harness(data, bank, model, prior_graph=None, solver=None, clock="s
             a_eff = effective_discriminations(alpha_pad[idx, :col], elapsed, model.nu2)
             th, converged, _ = batched_vector_map(
                 theta[idx], a_eff, beta_pad[idx, :col], correct_pad[idx, :col],
-                cidx_pad[idx, :col], None, precision, **kw)
+                cidx_pad[idx, :col], precision, **kw)
             theta[idx] = th
             n_unconverged += int((~converged).sum())
         z = alpha_pad[idx, col] * (theta[idx, cidx_pad[idx, col]] - beta_pad[idx, col])

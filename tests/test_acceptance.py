@@ -89,9 +89,9 @@ def random_stacked_instance(rng, max_events=40, max_concepts=6):
     """The batched objective that evaluate and calibrate run, on a random batch.
 
     Half the draws are one-concept (the scalar models and calibration), half
-    coupled chains; rows are ragged with padded cells masked out and carrying
-    a_eff == 0, and the prior mean is nonzero.  a_eff is signed, with some
-    valid cells exactly 0, as in calibration's item blocks: -alpha for
+    coupled chains; rows are ragged, each cell counted 1 to 3 times and each
+    padded cell 0 times, and the prior mean is nonzero.  a_eff is signed, with
+    some cells exactly 0, as in calibration's item blocks: -alpha for
     difficulty and theta - beta for discrimination.
     """
     c = 1 if rng.random() < 0.5 else int(rng.integers(2, max_concepts + 1))
@@ -100,11 +100,11 @@ def random_stacked_instance(rng, max_events=40, max_concepts=6):
     mask = np.arange(t)[None, :] < rng.integers(0, t + 1, size=s)[:, None]
     a_eff = rng.uniform(-2.5, 2.5, size=(s, t))
     a_eff[rng.random((s, t)) < 0.1] = 0.0
-    a_eff = np.where(mask, a_eff, 0.0)
     beta = rng.uniform(-2, 2, size=(s, t))
     correct = rng.integers(0, 2, size=(s, t)).astype(float)
     cidx = np.where(mask, rng.integers(0, c, size=(s, t)), 0)
-    objective = StackedLogPosterior(a_eff, beta, correct, cidx, mask, prior.precision,
+    counts = np.where(mask, rng.integers(1, 4, size=(s, t)), 0).astype(float)
+    objective = StackedLogPosterior(a_eff, beta, correct, cidx, counts, prior.precision,
                                     float(rng.uniform(-0.5, 0.5)))
     return rng.uniform(-3, 3, size=(s, c)), objective, prior.precision
 

@@ -62,6 +62,16 @@ def test_bank_load_errors(tmp_path):
         ItemBank.load_csv(path)
 
 
+def test_bank_csv_with_byte_order_mark(tmp_path):
+    bank = make_bank([ItemParams("q1", 1.25, -0.5, "alg")])
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    bank.save_csv(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded = ItemBank.load_csv(marked)
+    assert list(loaded.items) == ["q1"]
+    assert loaded["q1"] == bank["q1"]
+
+
 def test_bank_container_protocol():
     bank = make_bank([ItemParams("a", 1.0, 0.0, "x"), ItemParams("b", 2.0, 1.0, "y")])
     assert len(bank) == 2
@@ -276,8 +286,25 @@ def _ragged_training():
                     for k, (sid, recs) in enumerate(training.students.items())})
 
 
+def _repeat_heavy_training():
+    """A synthetic log plus repeats and edge cases: one student answers q000
+    four more times with both outcomes, item "lone" has a single respondent,
+    and student "silent" has no records."""
+    training, _ = synthetic_training(14, 30, 6, 20)
+    students = {sid: list(recs) for sid, recs in training.students.items()}
+    first, second = list(students)[:2]
+    end = students[first][-1].timestamp
+    students[first] += [InteractionRecord(first, "q000", c, end + 1 + k)
+                        for k, c in enumerate((1, 0, 1, 0))]
+    end = students[second][-1].timestamp
+    students[second].append(InteractionRecord(second, "lone", 1, end + 1))
+    students["silent"] = []
+    return Dataset(students)
+
+
 CALIBRATION_FIXTURES = {
     "even": lambda: (synthetic_training(11, 60, 12, 25)[0], CalibrationConfig(10)),
+    "repeats": lambda: (_repeat_heavy_training(), CalibrationConfig(10)),
     "ragged": lambda: (_ragged_training(), CalibrationConfig(10)),
     "floor-clipped": lambda: (synthetic_training(11, 60, 12, 25)[0],
                               CalibrationConfig(10, discrimination_floor=1.3)),
@@ -308,6 +335,34 @@ def test_calibrate_is_bit_identical_to_fresh_kernel_passes(fixture):
         assert final_delta < cfg.convergence_delta and rounds < cfg.max_outer_rounds
 
 
+def test_counted_calibration_matches_per_record_cells(monkeypatch):
+    # a student's repeats of one item with one outcome share a cell weighted by
+    # their count; giving every record a cell of its own fits the same bank
+    training, cfg = CALIBRATION_FIXTURES["repeats"]()
+    largest = []
+
+    def counted_rows(group, n_groups, key, *columns):
+        out = inference.count_rows(group, n_groups, key, *columns)
+        largest.append(out[1].max())
+        return out
+
+    def per_record_rows(group, n_groups, key, *columns):
+        return inference.count_rows(group, n_groups, np.arange(len(key)), *columns)
+
+    monkeypatch.setattr(calibration, "count_rows", counted_rows)
+    counted = calibrate(training, cfg)
+    assert min(largest) >= 3  # both layouts merge repeats
+    monkeypatch.setattr(calibration, "count_rows", per_record_rows)
+    per_record = calibrate(training, cfg)
+    assert list(counted.items) == list(per_record.items)
+    assert "lone" in counted.items
+    for got, want in zip(counted.arrays()[1:3], per_record.arrays()[1:3]):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    for field in ("rounds", "floored_items", "response_counts"):
+        assert getattr(counted.meta, field) == getattr(per_record.meta, field)
+    assert counted.meta.objective == pytest.approx(per_record.meta.objective, rel=1e-12)
+
+
 def test_calibrate_evaluates_at_most_seven_tenths_of_the_kernel_cells(monkeypatch):
     training, cfg = CALIBRATION_FIXTURES["ragged"]()
     kernel = inference.bernoulli_probit_terms
@@ -328,17 +383,16 @@ def test_calibrate_evaluates_at_most_seven_tenths_of_the_kernel_cells(monkeypatc
 @pytest.mark.parametrize("fixture", ["ragged", "floor-clipped"])
 def test_every_block_starts_from_the_terms_at_its_start(monkeypatch, fixture):
     # the terms a block inherits are those a fresh kernel pass would give at its
-    # starting point: equal on valid cells, ll 0 on padded ones, and padded
-    # mills and d2 finite with the kernel's signs
+    # starting point: equal on counted cells, and padded terms finite with
+    # the kernel's signs
     solve = calibration.newton_map
     blocks = []
 
     def checked(objective, theta0, terms, *args, **kwargs):
         fresh = objective.terms(theta0)
-        valid = ~objective.pad if objective.pad is not None else slice(None)
-        assert terms[0].tobytes() == fresh[0].tobytes()
-        for got, want in zip(terms[1:], fresh[1:]):
-            assert got[valid].tobytes() == want[valid].tobytes()
+        counted = objective.weight > 0
+        for got, want in zip(terms, fresh):
+            assert got[counted].tobytes() == want[counted].tobytes()
             assert np.isfinite(got).all()
             assert (np.signbit(got) == np.signbit(want)).all()
         blocks.append(len(theta0))

@@ -30,6 +30,7 @@ from ogive.calibration import ItemBank
 from ogive.concept_graph import load_graph
 from ogive.dataio import Dataset, load_interactions, preprocess, write_interactions
 from ogive.evaluation import ModelVariant, run_online_evaluation
+from ogive.irt_core import ItemParams
 
 
 def run_cli(*argv):
@@ -593,6 +594,17 @@ def test_calibrate_reads_a_tab_separated_concept_map(sim_dir, tmp_path, capsys):
                    "--out", str(tmp_path / "bad_bank.csv")) == 2
     assert "line 3: expected `item_id<TAB>concept_id`" in capsys.readouterr().err
     assert not (tmp_path / "bad_bank.csv").exists()
+
+
+def test_concept_map_with_byte_order_mark(tmp_path):
+    # both concept-map forms: a bank CSV and a tab-separated file
+    bank = tmp_path / "bank.csv"
+    ItemBank({"q1": ItemParams("q1", 1.0, 0.0, "alg")}).save_csv(bank)
+    tsv = tmp_path / "concepts.tsv"
+    tsv.write_text("q1\talg\n")
+    for path in (bank, tsv):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert cli._concept_map_from_file(path) == {"q1": "alg"}
 
 
 def test_evaluate_writes_reports(sim_dir, tmp_path, capsys):

@@ -116,6 +116,14 @@ def test_graph_file_round_trip(tmp_path):
     assert g2.edges == g.edges
 
 
+def test_graph_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_bytes("\ufeffa\tb\nb\tc\n".encode("utf-8"))
+    g = load_graph(path)
+    assert g.concepts == ("a", "b", "c")
+    assert g.edges == (("a", "b"), ("b", "c"))
+
+
 def test_build_prior_hand_computed_precision():
     prior = build_prior(chain_graph(3), lam=1.0, gamma=0.5)
     assert np.array_equal(prior.precision, PREC_3CHAIN)

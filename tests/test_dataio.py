@@ -226,6 +226,43 @@ def test_jsonl_malformed_lines(tmp_path):
         load_interactions(path, format="jsonl", strict=True)
 
 
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_byte_order_mark_is_dropped(tmp_path, format):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the header or row 1
+    rows = [("s1", "q7", 1, 100), ("s1", "q8", 0, 200), ("s2", "q7", 1, 50)]
+    data = Dataset.from_records([rec(*row) for row in rows])
+    plain, marked = tmp_path / f"plain.{format}", tmp_path / f"marked.{format}"
+    write_interactions(data, plain, format)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded = load_interactions(marked, format, strict=True)
+    assert loaded.students == data.students
+    assert loaded.parse_errors == ()
+
+
+def test_jsonl_ids_must_be_strings_or_integers(tmp_path):
+    path = tmp_path / "log.jsonl"
+    line = '{{"student_id": {}, "item_id": {}, "correct": 1, "timestamp": 3}}\n'
+    path.write_text(
+        line.format('"s"', '"q"')
+        + line.format(7, 12)
+        + line.format("null", '"q"')          # line 3
+        + line.format('"s"', "true")          # line 4
+        + line.format('["a"]', '"q"')         # line 5
+        + line.format('"s"', '{"id": "q"}')   # line 6
+    )
+    d = load_interactions(path, format="jsonl")
+    assert [(r.student_id, r.item_id) for recs in d.students.values() for r in recs] == [
+        ("s", "q"), ("7", "12")]
+    assert d.parse_errors == (
+        (3, "student_id must be a string or an integer, got null"),
+        (4, "item_id must be a string or an integer, got true"),
+        (5, 'student_id must be a string or an integer, got ["a"]'),
+        (6, 'item_id must be a string or an integer, got {"id": "q"}'),
+    )
+    with pytest.raises(DataError, match="line 3: student_id must be a string"):
+        load_interactions(path, format="jsonl", strict=True)
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(DataError, match="format"):
         load_interactions(tmp_path / "x", format="parquet")

@@ -30,7 +30,6 @@ from ogive.inference import (
     estimate_history,
     map_estimate_vector,
     newton_map,
-    padded_rows,
     predict_next,
 )
 from ogive.irt_core import (
@@ -192,8 +191,7 @@ def test_initialization_independence():
     rows = np.ones((len(starts), 1))
     theta, converged, _ = batched_vector_map(
         starts, rows * alphas, rows * betas, rows * correct,
-        np.zeros((len(starts), len(pairs)), dtype=np.intp),
-        np.ones((len(starts), len(pairs)), dtype=bool), np.array([[2.0]]),
+        np.zeros((len(starts), len(pairs)), dtype=np.intp), np.array([[2.0]]),
     )
     assert converged.all()
     spread = theta.max() - theta.min()
@@ -302,6 +300,16 @@ def _random_padded_problems(rng, n_students, max_events):
     return a, beta, correct, mask, lengths
 
 
+def counted_map(theta0, a, beta, correct, cidx, mask, precision, prior_mean=0.0, **kw):
+    """`newton_map` from a cold start on one event per cell, counted where mask is set.
+
+    Cells outside the mask are padding, counted 0 times; mask None counts every cell once.
+    """
+    counts = None if mask is None else mask.astype(float)
+    objective = StackedLogPosterior(a, beta, correct, cidx, counts, precision, prior_mean)
+    return newton_map(objective, theta0, **kw)
+
+
 def assert_reference_optimum(objective, theta):
     """theta maximizes `objective` (x -> (value, gradient)), checked independently.
 
@@ -337,9 +345,9 @@ def test_batched_scalar_matches_single_history_solver():
     rng = np.random.default_rng(5)
     a, beta, correct, mask, lengths = _random_padded_problems(rng, 40, 30)
     lam, mean = 0.8, 0.3
-    theta, converged, iterations = batched_vector_map(
+    theta, converged, iterations = counted_map(
         np.full((40, 1), mean), a, beta, correct, np.zeros(a.shape, dtype=np.intp), mask,
-        np.array([[2.0 * lam]]), prior_mean=mean,
+        np.array([[2.0 * lam]]), mean,
     )
     assert theta.shape == (40, 1)
     assert converged.all()
@@ -365,7 +373,7 @@ def test_batched_scalar_warm_start_lands_on_same_optimum():
     precision = np.array([[2.0]])
 
     def solve(theta0):
-        return batched_vector_map(theta0, a, beta, correct, cidx, mask, precision)
+        return counted_map(theta0, a, beta, correct, cidx, mask, precision)
 
     cold, conv_c, _ = solve(np.zeros((25, 1)))
     warm, conv_w, iters = solve(cold + rng.normal(scale=0.5, size=(25, 1)))
@@ -407,7 +415,7 @@ def test_batched_vector_matches_single_history_solver():
         mask[s, 8:] = False
         a[s, 8:] = 0.0
         cidx[s, 8:] = 0
-    theta, converged, _ = batched_vector_map(
+    theta, converged, _ = counted_map(
         np.zeros((n_students, 4)), a, beta, correct, cidx, mask, prior.precision
     )
     assert converged.all()
@@ -430,11 +438,11 @@ def test_batched_vector_warm_start_lands_on_same_optimum():
     cidx = rng.integers(0, 3, size=(n_students, t))
     mask = np.ones((n_students, t), dtype=bool)
     cold, conv_c, _ = batched_vector_map(
-        np.zeros((n_students, 3)), a, beta, correct, cidx, mask, prior.precision
+        np.zeros((n_students, 3)), a, beta, correct, cidx, prior.precision
     )
     warm, conv_w, _ = batched_vector_map(
         cold + rng.normal(scale=0.5, size=cold.shape),
-        a, beta, correct, cidx, mask, prior.precision,
+        a, beta, correct, cidx, prior.precision,
     )
     assert conv_c.all() and conv_w.all()
     np.testing.assert_allclose(warm, cold, atol=1e-7)
@@ -469,12 +477,12 @@ def _ragged_batch(rng, n_concepts, n_students=24, max_events=30):
 
 def _assert_rows_equal_single_solves(theta0, a, beta, correct, cidx, mask, precision, **kw):
     """Each row of the batched solve equals the solve of that row alone, bit for bit."""
-    batch = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision, **kw)
+    batch = counted_map(theta0, a, beta, correct, cidx, mask, precision, **kw)
     for s in range(len(theta0)):
         rows = [s]
-        alone = batched_vector_map(theta0[rows], a[rows], beta[rows], correct[rows],
-                                   cidx[rows], None if mask is None else mask[rows],
-                                   precision, **kw)
+        alone = counted_map(theta0[rows], a[rows], beta[rows], correct[rows],
+                            cidx[rows], None if mask is None else mask[rows],
+                            precision, **kw)
         for got, want in zip(batch, alone):
             np.testing.assert_array_equal(got[s], want[0])
     return batch
@@ -491,15 +499,8 @@ def test_retiring_rows_leaves_every_row_bit_identical(prior):
         theta0, a, beta, correct, cidx, mask, precision, prior_mean=0.25)
     assert converged.all()
     assert len(np.unique(iterations)) > 1
-    full = np.ones(mask.shape, dtype=bool)
     _assert_rows_equal_single_solves(theta0, np.where(mask, a, 0.3), beta, correct, cidx,
                                      None, precision)
-    assert np.array_equal(
-        batched_vector_map(theta0, np.where(mask, a, 0.3), beta, correct, cidx, None,
-                           precision)[0],
-        batched_vector_map(theta0, np.where(mask, a, 0.3), beta, correct, cidx, full,
-                           precision)[0],
-    )
 
 
 @pytest.mark.parametrize("prior", sorted(RETIREMENT_PRIORS))
@@ -509,7 +510,7 @@ def test_last_live_row_keeps_its_state_while_others_retire(prior):
     theta0, a, beta, correct, cidx, mask = _ragged_batch(rng, len(precision), n_students=8)
     # warm-start every row at its optimum but row 2, which starts far out and
     # goes on alone once the others have retired
-    theta0 = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision)[0]
+    theta0 = counted_map(theta0, a, beta, correct, cidx, mask, precision)[0]
     theta0[2] = 25.0
     mask[2, :5], a[2, :5] = True, 1.0
     others = np.arange(8) != 2
@@ -537,7 +538,7 @@ def test_single_history_core_is_its_row_of_a_batch(prior):
     now = 31.0
     a_eff = effective_discriminations(alphas, now - times, nu2)
     batch = batched_vector_map(np.zeros((n_students, len(precision))), a_eff, betas, correct,
-                               cidx, None, precision)
+                               cidx, precision)
     assert batch[1].all()
     for s in range(n_students):
         alone = estimate_history(alphas[s], betas[s], correct[s], times[s], now, nu2,
@@ -550,7 +551,7 @@ def test_kernel_sees_only_the_live_rows(monkeypatch):
     rng = np.random.default_rng(33)
     precision = RETIREMENT_PRIORS["chain"]
     theta0, a, beta, correct, cidx, mask = _ragged_batch(rng, len(precision), n_students=6)
-    solved = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision)[0]
+    solved = counted_map(theta0, a, beta, correct, cidx, mask, precision)[0]
     theta0[0] = solved[0]  # row 0 is converged before the first step
     kernel = inference.bernoulli_probit_terms
     cells = []
@@ -560,8 +561,8 @@ def test_kernel_sees_only_the_live_rows(monkeypatch):
         return kernel(zs)
 
     monkeypatch.setattr(inference, "bernoulli_probit_terms", counting)
-    theta, converged, iterations = batched_vector_map(theta0, a, beta, correct, cidx, mask,
-                                                      precision)
+    theta, converged, iterations = counted_map(theta0, a, beta, correct, cidx, mask,
+                                               precision)
     assert converged.all() and iterations[0] == 0
     width = a.shape[1]
     assert cells[0] == 6 * width
@@ -588,10 +589,10 @@ def test_newton_map_from_supplied_terms_matches_a_cold_start(prior, max_iter):
     cidx = None if len(precision) == 1 else cidx
 
     def rows():
-        return StackedLogPosterior(a, beta, correct, cidx, mask, precision, 0.25)
+        return StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision, 0.25)
 
-    cold = batched_vector_map(theta0, a, beta, correct, cidx, mask, precision,
-                              max_iter=max_iter, prior_mean=0.25)
+    cold = counted_map(theta0, a, beta, correct, cidx, mask, precision, 0.25,
+                       max_iter=max_iter)
     terms = list(rows().terms(theta0))
     warm = newton_map(rows(), theta0, terms, max_iter=max_iter)
     for got, want in zip(warm, cold):
@@ -602,14 +603,13 @@ def test_newton_map_from_supplied_terms_matches_a_cold_start(prior, max_iter):
     fresh = rows().terms(theta)
     for got, want in zip(terms, fresh):  # the list passed in, updated in place
         _assert_same_bits(got, want)
-    assert not fresh[0][~mask].any()  # padded cells carry ll 0
 
 
 def test_call_is_the_kernel_pass_then_the_reduction():
     precision = RETIREMENT_PRIORS["chain"]
     theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(35),
                                                           len(precision))
-    rows = StackedLogPosterior(a, beta, correct, cidx, mask, precision, 0.25)
+    rows = StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision, 0.25)
     terms = rows.terms(theta0)
     kept = [t.copy() for t in terms]
     for got, want in zip(rows(theta0), rows.reduce(theta0, terms)):
@@ -647,6 +647,14 @@ def test_count_rows_holds_each_record_in_its_cell():
         first = slots[np.r_[True, np.maximum.accumulate(slots)[:-1] < slots[1:]]]
         assert np.array_equal(first, np.arange(len(first)))
         assert np.count_nonzero(counts[g]) == len(first) == len(np.unique(key[group == g]))
+    # a key unique per record gives each record its own cell, in record order
+    slot, ones, *cells = count_rows(group, 10, np.arange(len(group)), a, beta)
+    for g in range(10):
+        assert np.array_equal(slot[group == g], np.arange(np.count_nonzero(group == g)))
+    assert np.array_equal(ones, ones > 0)
+    assert np.array_equal(ones.sum(axis=1), np.bincount(group, minlength=10))
+    for column, padded in zip((a, beta), cells):
+        assert np.array_equal(padded[group, slot], column)
 
 
 @pytest.mark.parametrize("prior", ["one_concept", "chain"])
@@ -655,16 +663,16 @@ def test_counted_cells_solve_their_events(prior):
     rng = np.random.default_rng(81)
     group, key, a, beta, correct, cidx = _counted_records(rng, len(precision))
     n = int(group.max()) + 1
-    mask, *events = padded_rows(group, n, a, beta, correct, cidx)
+    _, ones, *events = count_rows(group, n, np.arange(len(group)), a, beta, correct, cidx)
     _, counts, *cells = count_rows(group, n, key, a, beta, correct, cidx)
-    assert counts.shape[1] < mask.shape[1]
+    assert counts.shape[1] < ones.shape[1]
     theta0 = rng.normal(size=(n, len(precision)))
-    per_event = StackedLogPosterior(*events, mask, precision, 0.25)
+    per_event = StackedLogPosterior(*events, ones, precision, 0.25)
     counted = StackedLogPosterior(*cells, counts, precision, 0.25)
     for got, want in zip(counted(theta0), per_event(theta0)):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     got = newton_map(counted, theta0)
-    want = newton_map(StackedLogPosterior(*events, mask, precision, 0.25), theta0)
+    want = newton_map(StackedLogPosterior(*events, ones, precision, 0.25), theta0)
     np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
     assert got[1].all() and want[1].all()
 
@@ -722,7 +730,7 @@ def test_cell_terms_are_the_full_pass_on_those_cells():
     precision = RETIREMENT_PRIORS["chain"]
     theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(84),
                                                           len(precision))
-    rows = StackedLogPosterior(a, beta, correct, cidx, mask, precision)
+    rows = StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision)
     full = rows.terms(theta0)
     r, c = np.nonzero(mask)
     for got, want in zip(rows.cell_terms(theta0, r, c), full):
@@ -733,7 +741,7 @@ def test_terms_read_theta_in_any_memory_layout():
     precision = RETIREMENT_PRIORS["diamond"]
     theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(85),
                                                           len(precision))
-    rows = StackedLogPosterior(a, beta, correct, cidx, mask, precision)
+    rows = StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision)
     wide = np.repeat(theta0, 2, axis=1)
     for theta in (wide[:, ::2], np.asfortranarray(theta0)):
         assert not theta.flags.c_contiguous
