@@ -22,14 +22,7 @@ import numpy as np
 from .calibration import ItemBank
 from .concept_graph import ConceptGraph, build_prior, check_precision_finite
 from .dataio import Dataset
-from .inference import (
-    DEFAULT_SOLVER,
-    SolverConfig,
-    StackedLogPosterior,
-    batched_vector_map,
-    count_rows,
-    newton_map,
-)
+from .inference import DEFAULT_SOLVER, SolverConfig, batched_vector_map, count_rows
 from .irt_core import (
     PROB_FLOOR,
     TemporalConfig,
@@ -376,8 +369,6 @@ def run_online_evaluation(
             probs = np.where(denom > 0, prior_correct / np.maximum(denom, 1.0), 0.5)
     else:
         theta = np.zeros((n_students, len(precision)))
-        # one-concept objectives never read the coordinates, so they are not passed
-        one_concept = len(precision) == 1
         live_rows = np.arange(n_students)
         tol, max_iter = solver.gradient_tolerance, solver.max_iterations
 
@@ -387,37 +378,22 @@ def run_online_evaluation(
             a_eff = effective_discriminations(alpha_pad[:n, hist], elapsed, model.nu2)
             return batched_vector_map(
                 theta[:n], a_eff, beta_pad[:n, hist], correct_pad[:n, hist],
-                None if one_concept else cidx_pad[:n, hist], precision, tol, max_iter,
+                cidx_pad[:n, hist], precision, tol, max_iter,
             )
 
         if static:
-            # a static history is its distinct (item, outcome) cells with
-            # counts; a cell's terms never change with time, so the terms a
-            # step's solve ends with are the next step's at its warm start,
-            # and only the cell a step opens needs a kernel pass
+            # a static history is its distinct (item, outcome) cells with counts
             slot_pad = slot_pad[0]
             opened = np.maximum.accumulate(slot_pad, axis=1) + 1  # cells opened so far
             counts = np.zeros(a_cell.shape)
-            carried = [np.zeros(a_cell.shape) for _ in range(3)]
 
         def static_solve(n, col):
-            rows, cells = live_rows[:n], slot_pad[:n, col - 1]
-            counts[rows, cells] += 1.0
-            new = np.flatnonzero(counts[rows, cells] == 1.0)  # rows whose cell opens here
+            counts[live_rows[:n], slot_pad[:n, col - 1]] += 1.0
             hist = slice(0, opened[:n, col - 1].max())
-            objective = StackedLogPosterior(
-                a_cell[:n, hist], b_cell[:n, hist], r_cell[:n, hist],
-                None if one_concept else c_cell[:n, hist], counts[:n, hist], precision)
-            views = [buf[:n, hist] for buf in carried]
-            if len(new):
-                for view, fresh in zip(views, objective.cell_terms(theta[:n], new, cells[new])):
-                    view[new, cells[new]] = fresh
-            terms = list(views)
-            solved = newton_map(objective, theta[:n], terms, tol, max_iter)
-            for view, term in zip(views, terms):
-                if term is not view:
-                    view[...] = term
-            return solved
+            return batched_vector_map(
+                theta[:n], a_cell[:n, hist], b_cell[:n, hist], r_cell[:n, hist],
+                c_cell[:n, hist], precision, tol, max_iter, counts[:n, hist],
+            )
 
         solve = static_solve if static else drift_solve
         for t in range(1, width + 1):

@@ -4,8 +4,9 @@ Every model kind is one model: a per-concept probit with a Gaussian prior of
 precision P and mean m.  Scalar models are its one-concept case, P = [[2*lam]].
 `newton_map` is the one solver: damped Newton with an Armijo backtracking
 line search, run in lockstep over the S independent problems of a
-`StackedLogPosterior`; `batched_vector_map` is its cold start from event
-arrays.  The solver takes and returns the kernel's per-cell terms, so a
+`StackedLogPosterior`; `batched_vector_map` is its cold start from padded
+cells, and every harness step, static or drifting, is one such call on its
+live rows.  The solver takes and returns the kernel's per-cell terms, so a
 caller that already holds them at the starting point (calibration's blocks)
 skips that kernel pass.  The objective owns P: it forms P (theta - m) and
 each Newton system (`direction`), and the solver only steps, searches and
@@ -26,7 +27,7 @@ share a key in one cell and counts them: a cell counted k times weights its
 log-likelihood, gradient and curvature by k, and a zero count is padding.  A
 key unique per record gives each record its own cell.  Without drift an
 event's terms never change with time, so the harness holds a static history
-as its distinct (item, outcome) cells.
+as its distinct (item, outcome) cells and solves each step on their counts.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def estimate_history(
     check_drift_finite(nu2, alphas.max(), elapsed.max())
     a_eff = effective_discriminations(alphas, elapsed, nu2)
     theta, converged, iterations = batched_vector_map(
-        theta0, a_eff[None], betas[None], correct[None],
-        None if len(precision) == 1 else concept_idx[None], precision,
+        theta0, a_eff[None], betas[None], correct[None], concept_idx[None], precision,
         solver.gradient_tolerance, solver.max_iterations,
     )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
@@ -238,8 +238,7 @@ class StackedLogPosterior:
     broadcast, the scatter a row sum, and concept_idx is not read (it may be
     None).  Under counts a row sums only up to its last counted cell: how
     much padding follows is decided by the other rows of a batch, and must
-    not move a row's bits.  `cell_terms` is the kernel pass on chosen cells
-    only, for a caller that carries the terms of every other cell.
+    not move a row's bits.
     """
 
     def __init__(self, a_eff, beta, correct, concept_idx, counts, precision,
@@ -307,19 +306,6 @@ class StackedLogPosterior:
         zs *= self.signed_a
         return bernoulli_probit_terms(zs)
 
-    def cell_terms(self, theta: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        """The kernel pass on cells (rows[i], cols[i]) only: 1-d (ll, mills, d2).
-
-        Each cell gets the bits a full `terms` pass gives it; with the terms of
-        every other cell carried over, this completes a full pass at theta.
-        """
-        if self.one_concept:
-            zs = theta[rows, 0] - self.beta[rows, cols]
-        else:
-            zs = theta[rows, self.concept_idx[rows, cols]] - self.beta[rows, cols]
-        zs *= self.signed_a[rows, cols]
-        return bernoulli_probit_terms(zs)
-
     def _row_sums(self, cells: np.ndarray) -> np.ndarray:
         """Each row's sum of cells; under counts only over its extent, so padding
         columns leave a row's bits unchanged."""
@@ -384,15 +370,18 @@ def batched_vector_map(
     precision: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
+    counts: Optional[np.ndarray] = None,
 ):
-    """Solve S independent MAP problems of one event per cell under one zero-mean prior.
+    """Solve S independent MAP problems of counts or one event per cell under one
+    zero-mean prior.
 
-    theta0 is (S, C); event arrays are (S, T); concept_idx holds the coordinate
-    each event reads and may be None when C == 1.  `newton_map` from a cold
+    theta0 is (S, C); cell arrays are (S, T); concept_idx holds the coordinate
+    each cell reads and may be None when C == 1; counts weight the cells as in
+    `StackedLogPosterior`, None for one event each.  `newton_map` from a cold
     start, returning (theta, converged, iterations) with shapes (S, C), (S,)
     bool and (S,) int.
     """
-    objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, None, precision)
+    objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, counts, precision)
     return newton_map(objective, theta0, None, tol, max_iter)
 
 
@@ -405,9 +394,7 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
     `objective.terms(theta0)` bit for bit on counted cells; padded terms need
     only be finite and of the kernel's signs, since the zero counts there
     turn them into the same signed zeros.  A list passed in is updated in
-    place to the terms at each row's solution: its entries are replaced by
-    whole arrays or written through, so a caller holding views reads the
-    list back.
+    place to the terms at each row's solution.
     The objective forms each Newton step (`direction`); the solver never
     reads the prior.  A row is done when its max-abs gradient entry drops to
     tol (converged) or its line search finds no acceptable step (stalled);

@@ -638,10 +638,10 @@ def test_summary_table_layout():
 
 @pytest.mark.parametrize("kind", ["static_2po", "temporal_2po", "correlated_mvn", "tskirt"])
 def test_one_concept_steps_copy_no_coordinates(monkeypatch, kind):
-    # a one-concept objective never reads the coordinate each event reads, so
-    # the harness passes None; handing it the all-zero columns gives the same bits.
-    # Every step's objective is built in one of two places: static kinds build
-    # theirs in the harness, drift kinds through `batched_vector_map`.
+    # every step hands its objective views of the coordinate columns, all
+    # zero for a one-concept model; that objective never reads them, so
+    # handing it None gives the same bits.  Every step's objective is built
+    # through `batched_vector_map`, static and drift kinds alike.
     bank = small_bank()
     data = streaming_data(bank, n_students=6, n_events=15)
     model = ModelVariant.from_name(kind)
@@ -650,24 +650,25 @@ def test_one_concept_steps_copy_no_coordinates(monkeypatch, kind):
     build = inference.StackedLogPosterior
     seen = []
 
-    def zero_columns(a_eff, beta, correct, concept_idx, *rest, **kw):
-        seen.append(concept_idx is None)
-        if concept_idx is None:
-            concept_idx = np.zeros(a_eff.shape, dtype=np.intp)
-        return build(a_eff, beta, correct, concept_idx, *rest, **kw)
+    def no_columns(a_eff, beta, correct, concept_idx, counts, precision, *rest, **kw):
+        assert concept_idx.base is not None  # a view, not a copy
+        seen.append(len(precision) == 1)
+        if len(precision) == 1:
+            assert not concept_idx.any()
+            concept_idx = None
+        return build(a_eff, beta, correct, concept_idx, counts, precision, *rest, **kw)
 
-    monkeypatch.setattr(evaluation, "StackedLogPosterior", zero_columns)
-    monkeypatch.setattr(inference, "StackedLogPosterior", zero_columns)
-    with_columns = run_online_evaluation(data, bank, model, graph)
+    monkeypatch.setattr(inference, "StackedLogPosterior", no_columns)
+    without_columns = run_online_evaluation(data, bank, model, graph)
     assert seen and set(seen) == {not model.is_vector}
-    assert report.probabilities.tobytes() == with_columns.probabilities.tobytes()
+    assert report.probabilities.tobytes() == without_columns.probabilities.tobytes()
 
 
 # -- the harness against its per-event oracle ---------------------------------
 #
-# Static kinds hold each history as counted (item, outcome) cells whose terms
-# carry from step to step; drift kinds solve one cell per event.  Either way
-# the harness must predict what a fresh per-event solve of every prefix does.
+# Static kinds hold each history as counted (item, outcome) cells; drift kinds
+# solve one cell per event.  Either way the harness must predict what a fresh
+# per-event solve of every prefix does.
 
 LATENT_KINDS = ("static_2po", "temporal_2po", "factorial_mvn", "correlated_mvn", "tskirt")
 
@@ -703,6 +704,29 @@ def test_harness_matches_per_event_oracle(kind, clock, max_iterations):
         np.testing.assert_allclose(report.probabilities, probs, rtol=0.0, atol=1e-12)
     else:
         assert report.probabilities.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("kind", LATENT_KINDS)
+def test_every_harness_step_is_one_batched_solve(monkeypatch, kind):
+    # steps 2.. of the longest stream each solve once, every live row in one
+    # cold `batched_vector_map` call, static kinds included
+    bank = small_bank()
+    data = ragged_data(bank, seed=71)
+    solve = evaluation.batched_vector_map
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "batched_vector_map", counting)
+    report = run_online_evaluation(data, bank, ModelVariant.from_name(kind), chain_graph(2),
+                                   n_buckets=1)
+    lengths = sorted((len(recs) for recs in data.students.values()), reverse=True)
+    assert len(calls) == lengths[0] - 1
+    # step t solves the students whose streams are longer than t - 1 events
+    assert calls == [sum(n >= t for n in lengths) for t in range(2, lengths[0] + 1)]
+    assert report.n_predictions == sum(lengths)
 
 
 def test_static_harness_cells_grow_linearly_in_stream_length(monkeypatch):

@@ -680,8 +680,8 @@ def test_counted_cells_solve_their_events(prior):
 @pytest.mark.parametrize("max_iter", [100, 3])
 @pytest.mark.parametrize("prior", ["one_concept", "chain"])
 def test_newton_map_on_counts_from_supplied_terms_matches_a_cold_start(prior, max_iter):
-    # padding cells hold stale terms, as the harness carries them: any finite
-    # values of the kernel's sign give the cold start's bits
+    # padding cells may hold stale terms: any finite values of the kernel's
+    # sign give the cold start's bits
     precision = RETIREMENT_PRIORS[prior]
     rng = np.random.default_rng(82)
     group, key, a, beta, correct, cidx = _counted_records(rng, len(precision))
@@ -724,17 +724,6 @@ def test_counted_row_keeps_its_bits_beside_wider_rows(prior):
         ), theta0[s:s + 1])
         for got, want in zip(alone, batch):
             _assert_same_bits(got[0], want[s])
-
-
-def test_cell_terms_are_the_full_pass_on_those_cells():
-    precision = RETIREMENT_PRIORS["chain"]
-    theta0, a, beta, correct, cidx, mask = _ragged_batch(np.random.default_rng(84),
-                                                          len(precision))
-    rows = StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision)
-    full = rows.terms(theta0)
-    r, c = np.nonzero(mask)
-    for got, want in zip(rows.cell_terms(theta0, r, c), full):
-        _assert_same_bits(got, want[r, c])
 
 
 def test_terms_read_theta_in_any_memory_layout():
