@@ -370,7 +370,6 @@ def run_online_evaluation(
     else:
         theta = np.zeros((n_students, len(precision)))
         live_rows = np.arange(n_students)
-        tol, max_iter = solver.gradient_tolerance, solver.max_iterations
 
         def drift_solve(n, col):
             hist = slice(0, col)
@@ -378,7 +377,7 @@ def run_online_evaluation(
             a_eff = effective_discriminations(alpha_pad[:n, hist], elapsed, model.nu2)
             return batched_vector_map(
                 theta[:n], a_eff, beta_pad[:n, hist], correct_pad[:n, hist],
-                cidx_pad[:n, hist], precision, tol, max_iter,
+                cidx_pad[:n, hist], events[:n, hist], precision, solver,
             )
 
         if static:
@@ -392,7 +391,7 @@ def run_online_evaluation(
             hist = slice(0, opened[:n, col - 1].max())
             return batched_vector_map(
                 theta[:n], a_cell[:n, hist], b_cell[:n, hist], r_cell[:n, hist],
-                c_cell[:n, hist], precision, tol, max_iter, counts[:n, hist],
+                c_cell[:n, hist], counts[:n, hist], precision, solver,
             )
 
         solve = static_solve if static else drift_solve

@@ -4,7 +4,7 @@ Every model kind is one model: a per-concept probit with a Gaussian prior of
 precision P and mean m.  Scalar models are its one-concept case, P = [[2*lam]].
 `newton_map` is the one solver: damped Newton with an Armijo backtracking
 line search, run in lockstep over the S independent problems of a
-`StackedLogPosterior`; `batched_vector_map` is its cold start from padded
+`StackedLogPosterior`; `batched_vector_map` is its cold start from counted
 cells, and every harness step, static or drifting, is one such call on its
 live rows.  The solver takes and returns the kernel's per-cell terms, so a
 caller that already holds them at the starting point (calibration's blocks)
@@ -25,9 +25,12 @@ those columns.  Every padded layout the solver reads, in the harness and in
 calibration, comes from `count_rows`, which puts the records of a group that
 share a key in one cell and counts them: a cell counted k times weights its
 log-likelihood, gradient and curvature by k, and a zero count is padding.  A
-key unique per record gives each record its own cell.  Without drift an
-event's terms never change with time, so the harness holds a static history
-as its distinct (item, outcome) cells and solves each step on their counts.
+key unique per record gives each record its own cell, counted once.  Counts
+are the one weighting mode: every solve passes them.  Drift re-weights every
+past event at each step, so a drifting history is one cell per event with
+counts of one; without drift an event's terms never change with time, so the
+harness holds a static history as its distinct (item, outcome) cells and
+solves each step on their counts.
 """
 
 from __future__ import annotations
@@ -134,8 +137,8 @@ def estimate_history(
     check_drift_finite(nu2, alphas.max(), elapsed.max())
     a_eff = effective_discriminations(alphas, elapsed, nu2)
     theta, converged, iterations = batched_vector_map(
-        theta0, a_eff[None], betas[None], correct[None], concept_idx[None], precision,
-        solver.gradient_tolerance, solver.max_iterations,
+        theta0, a_eff[None], betas[None], correct[None], concept_idx[None],
+        np.ones((1, len(alphas))), precision, solver,
     )
     return ProficiencyEstimate(theta[0], bool(converged[0]), int(iterations[0]), concept_ids)
 
@@ -176,11 +179,12 @@ def predict_next(estimate: ProficiencyEstimate, item: ItemParams) -> float:
 
 # -- the batched lockstep solver ----------------------------------------------
 #
-# Array contract: event arrays have shape (S, T) with per-cell counts, or None
-# when every cell holds one event.  Cells of count zero are padding: counts
-# weight every term, so a zero count zeroes all three, and padded cells need
-# only carry finite values.  `count_rows` builds every padded layout from
-# flat per-record columns.
+# Array contract: cell arrays have shape (S, T), and every solve passes an
+# (S, T) float array of per-cell counts.  Cells of count zero are padding:
+# counts weight every term, so a zero count zeroes all three, padded cells
+# need only carry finite values, and a row sums only over its extent, the
+# cells up to its last counted one.  `count_rows` builds every padded layout
+# from flat per-record columns.
 
 
 def count_rows(group: np.ndarray, n_groups: int, key: np.ndarray, *columns: np.ndarray):
@@ -196,18 +200,17 @@ def count_rows(group: np.ndarray, n_groups: int, key: np.ndarray, *columns: np.n
     """
     pair = group * (int(key.max()) + 1) + key
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)  # distinct pairs in order of first occurrence
-    openers = first[by_first]
-    cell_group = group[openers]
-    widths = np.bincount(cell_group, minlength=n_groups)
-    order = np.argsort(cell_group, kind="stable")
+    # distinct pairs by group, then by first occurrence; the sort keys are unique
+    order = np.argsort(group[first] * len(group) + first)
+    openers = first[order]
+    rows = group[openers]
+    widths = np.bincount(rows, minlength=n_groups)
     cols = np.arange(len(openers)) - np.repeat(np.cumsum(widths) - widths, widths)
     slot_of = np.empty(len(openers), dtype=np.intp)
-    slot_of[by_first[order]] = cols
+    slot_of[order] = cols
     slot = slot_of[inverse]
     shape = (n_groups, int(widths.max()))
     counts = np.bincount(group * shape[1] + slot, minlength=shape[0] * shape[1])
-    openers, rows = openers[order], cell_group[order]
 
     def padded(column):
         out = np.zeros(shape, dtype=column.dtype)
@@ -227,32 +230,29 @@ class StackedLogPosterior:
     curvature; the Hessian of row s is diag(curvature_s) - P.  A call is two
     parts: `terms`, the kernel pass, and `reduce`, which turns those per-cell
     terms into the three results.  `direction` forms and solves the Newton
-    system, the only place the solver meets P.  counts None means every cell
-    holds one event; otherwise counts weight every term, so a zero count is
-    padding and its terms need only be finite.  What is fixed for a whole
-    solve is built once here, not per call: the response signs folded into
-    the discriminations (signed_a), the count-weighted discriminations the
-    gradient and curvature read, the scatter indices and whether P is
-    coupled.  `keep` drops retired rows from every later call.  With one
-    concept every event reads the only coordinate, so the gather is a
-    broadcast, the scatter a row sum, and concept_idx is not read (it may be
-    None).  Under counts a row sums only up to its last counted cell: how
-    much padding follows is decided by the other rows of a batch, and must
-    not move a row's bits.
+    system, the only place the solver meets P.  counts is an (S, T) float
+    array that weights every term, so a zero count is padding and its terms
+    need only be finite; a history of one event per cell passes ones.  What
+    is fixed for a whole solve is built once here, not per call: the response
+    signs folded into the discriminations (signed_a), the count-weighted
+    discriminations the gradient and curvature read, each row's extent, the
+    reduction and scatter indices and whether P is coupled.  `keep` drops
+    retired rows from every later call.  With one concept every event reads
+    the only coordinate, so the gather is a broadcast, the scatter a row sum,
+    and concept_idx is not read (it may be None).  A row sums only up to its
+    last counted cell: how much padding follows is decided by the other rows
+    of a batch, and must not move a row's bits.
     """
 
     def __init__(self, a_eff, beta, correct, concept_idx, counts, precision,
                  prior_mean: float = 0.0):
         self.signed_a = np.where(correct > 0, a_eff, -a_eff)
-        a_sq = a_eff * a_eff
-        self.weight = counts
-        if counts is None:
-            self.grad_a, self.curv_a = self.signed_a, a_sq
-        else:
-            self.grad_a, self.curv_a = self.signed_a * counts, a_sq * counts
-            # each row's cells up to its last counted one; what lies past it
-            # is padding that other rows of the batch decide
-            self.extent = counts.shape[1] - np.argmax(counts[:, ::-1] != 0, axis=1)
+        self.counts = counts
+        self.grad_a = self.signed_a * counts
+        self.curv_a = a_eff * a_eff * counts
+        # each row's cells up to its last counted one; what lies past it is
+        # padding that other rows of the batch decide
+        self.extent = counts.shape[1] - np.argmax((counts != 0)[:, ::-1], axis=1)
         self.beta = beta
         self.precision = precision
         self.prior_mean = prior_mean
@@ -266,12 +266,10 @@ class StackedLogPosterior:
 
     def _scatter_index(self):
         n_students, width = self.beta.shape
-        if self.weight is not None:
-            # reduceat bounds: row s is summed over [s * width, s * width + extent)
-            segments = np.empty(2 * n_students, dtype=np.intp)
-            segments[0::2] = np.arange(0, n_students * width, width)
-            segments[1::2] = segments[0::2] + self.extent
-            self.segments = segments[:-1] if self.extent[-1] == width else segments
+        # reduceat bounds: row s is summed over [s * width, s * width + extent)
+        segments = np.arange(0, n_students * width, width).repeat(2)
+        segments[1::2] += self.extent
+        self.segments = segments[:-1] if self.extent[-1] == width else segments
         self.flat_idx = None
         if self.one_concept:
             return
@@ -282,11 +280,9 @@ class StackedLogPosterior:
 
     def keep(self, rows: np.ndarray) -> None:
         """Restrict every later call to `rows`, in that order."""
-        signed_a = self.signed_a[rows]
-        self.grad_a = signed_a if self.grad_a is self.signed_a else self.grad_a[rows]
-        self.signed_a, self.curv_a, self.beta = signed_a, self.curv_a[rows], self.beta[rows]
-        if self.weight is not None:
-            self.weight, self.extent = self.weight[rows], self.extent[rows]
+        self.signed_a, self.grad_a, self.curv_a = (
+            self.signed_a[rows], self.grad_a[rows], self.curv_a[rows])
+        self.beta, self.counts, self.extent = self.beta[rows], self.counts[rows], self.extent[rows]
         if self.concept_idx is not None:
             self.concept_idx = self.concept_idx[rows]
         self._scatter_index()
@@ -307,10 +303,8 @@ class StackedLogPosterior:
         return bernoulli_probit_terms(zs)
 
     def _row_sums(self, cells: np.ndarray) -> np.ndarray:
-        """Each row's sum of cells; under counts only over its extent, so padding
-        columns leave a row's bits unchanged."""
-        if self.weight is None:
-            return cells.sum(axis=1)
+        """Each row's sum of cells over its extent, so padding columns leave a
+        row's bits unchanged."""
         return np.add.reduceat(cells.ravel(), self.segments)[::2]
 
     def _scatter(self, cells: np.ndarray) -> np.ndarray:
@@ -337,9 +331,7 @@ class StackedLogPosterior:
         grad = -p_dev + self._scatter(cells)
         np.multiply(d2, self.curv_a, out=cells)
         curv = self._scatter(cells)
-        if self.weight is not None:
-            ll = np.multiply(ll, self.weight, out=cells)
-        value += self._row_sums(ll)
+        value += self._row_sums(np.multiply(ll, self.counts, out=cells))
         return value, grad, curv
 
     def __call__(self, theta: np.ndarray):
@@ -367,26 +359,24 @@ def batched_vector_map(
     beta: np.ndarray,
     correct: np.ndarray,
     concept_idx: Optional[np.ndarray],
+    counts: np.ndarray,
     precision: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    counts: Optional[np.ndarray] = None,
+    solver: SolverConfig = DEFAULT_SOLVER,
 ):
-    """Solve S independent MAP problems of counts or one event per cell under one
-    zero-mean prior.
+    """Solve S independent MAP problems of counted cells under one zero-mean prior.
 
-    theta0 is (S, C); cell arrays are (S, T); concept_idx holds the coordinate
-    each cell reads and may be None when C == 1; counts weight the cells as in
-    `StackedLogPosterior`, None for one event each.  `newton_map` from a cold
-    start, returning (theta, converged, iterations) with shapes (S, C), (S,)
-    bool and (S,) int.
+    theta0 is (S, C); cell arrays and counts are (S, T); concept_idx holds
+    the coordinate each cell reads and may be None when C == 1; counts weight
+    the cells as in `StackedLogPosterior`.  `newton_map` from a cold start,
+    returning (theta, converged, iterations) with shapes (S, C), (S,) bool
+    and (S,) int.
     """
     objective = StackedLogPosterior(a_eff, beta, correct, concept_idx, counts, precision)
-    return newton_map(objective, theta0, None, tol, max_iter)
+    return newton_map(objective, theta0, None, solver)
 
 
 def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
-               tol: float = 1e-8, max_iter: int = 100):
+               solver: SolverConfig = DEFAULT_SOLVER):
     """Maximize every row of `objective` from theta0: the one Newton solver.
 
     terms is the list [ll, mills, d2] of per-cell terms at theta0, or None
@@ -397,11 +387,13 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
     place to the terms at each row's solution.
     The objective forms each Newton step (`direction`); the solver never
     reads the prior.  A row is done when its max-abs gradient entry drops to
-    tol (converged) or its line search finds no acceptable step (stalled);
-    done rows retire, and every later evaluation, step and solve runs on the
-    live rows only.  Returns (theta, converged, iterations) with shapes
-    (S, C), (S,) bool and (S,) int.
+    the solver's gradient tolerance (converged) or its line search finds no
+    acceptable step (stalled); done rows retire, and every later evaluation,
+    step and solve runs on the live rows only.  At most the solver's
+    max_iterations Newton steps are taken.  Returns (theta, converged,
+    iterations) with shapes (S, C), (S,) bool and (S,) int.
     """
+    tol = solver.gradient_tolerance
     theta = np.array(theta0, dtype=float, copy=True)
     n_students = len(theta)
     theta_out = np.empty_like(theta)
@@ -421,7 +413,7 @@ def newton_map(objective: StackedLogPosterior, theta0: np.ndarray, terms=None,
         if len(rows):
             objective.keep(rows)
 
-    for _ in range(max_iter):
+    for _ in range(solver.max_iterations):
         grad_max = np.abs(grad).max(axis=1)
         active = grad_max > tol
         if not active.all():

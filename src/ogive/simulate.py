@@ -161,7 +161,7 @@ def generate(scenario: SimulationScenario) -> SimulationResult:
 
     student_ids = _id_series("s", scenario.n_students)
     student_seeds = students_ss.spawn(scenario.n_students)
-    records: list[InteractionRecord] = []
+    students: dict[str, list[InteractionRecord]] = {}
     paths: dict[str, np.ndarray] = {}
     times: dict[str, np.ndarray] = {}
     for sid, seed in zip(student_ids, student_seeds):
@@ -203,15 +203,15 @@ def generate(scenario: SimulationScenario) -> SimulationResult:
         cidx = item_concept_idx[items]
         p = probit(alphas[items] * (theta[np.arange(n_i), cidx] - betas[items]))
         correct = (rng.random(n_i) < p).astype(int)
-        for j in range(n_i):
-            records.append(
-                InteractionRecord(sid, item_ids[items[j]], int(correct[j]),
-                                  int(timestamps[j]))
-            )
+        # timestamps never decrease, so the stream is already in `Dataset` order
+        students[sid] = [
+            InteractionRecord(sid, item_ids[j], c, t)
+            for j, c, t in zip(items.tolist(), correct.tolist(), timestamps.tolist())
+        ]
         paths[sid] = theta
         times[sid] = units
 
-    return SimulationResult(Dataset.from_records(records), bank, paths, times, scenario)
+    return SimulationResult(Dataset(students), bank, paths, times, scenario)
 
 
 def write_truth(result: SimulationResult, bank_path, paths_path) -> None:

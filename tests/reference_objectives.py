@@ -28,7 +28,13 @@ from scipy.special import log_ndtr
 from ogive import calibration
 from ogive.evaluation import model_prior, record_columns
 from ogive.concept_graph import StructuredPrior
-from ogive.inference import StackedLogPosterior, batched_vector_map, count_rows, newton_map
+from ogive.inference import (
+    DEFAULT_SOLVER,
+    StackedLogPosterior,
+    batched_vector_map,
+    count_rows,
+    newton_map,
+)
 from ogive.irt_core import (
     _LOG_SQRT_2PI,
     _TAIL_Z,
@@ -271,8 +277,8 @@ def calibrate_with_fresh_passes(training, config):
             objective if rounds_run else None, floored)
 
 
-def per_event_harness(data, bank, model, prior_graph=None, solver=None, clock="step",
-                      seconds_per_unit=1.0):
+def per_event_harness(data, bank, model, prior_graph=None, solver=DEFAULT_SOLVER,
+                      clock="step", seconds_per_unit=1.0):
     """(probabilities, n_unconverged) of the harness with per-event cells.
 
     Students in insertion order, events of bank-unknown items dropped; at
@@ -282,8 +288,6 @@ def per_event_harness(data, bank, model, prior_graph=None, solver=None, clock="s
     temporal = TemporalConfig(model.nu2, clock, seconds_per_unit)
     _, alphas, betas, _ = bank.arrays()
     precision, item_concept, _ = model_prior(model, prior_graph, bank)
-    kw = {} if solver is None else dict(tol=solver.gradient_tolerance,
-                                        max_iter=solver.max_iterations)
     columns = [record_columns(records, bank) for records in data.students.values()]
     group = np.concatenate([np.full(int((item >= 0).sum()), s)
                             for s, (item, _, _) in enumerate(columns)])
@@ -309,7 +313,7 @@ def per_event_harness(data, bank, model, prior_graph=None, solver=None, clock="s
             a_eff = effective_discriminations(alpha_pad[idx, :col], elapsed, model.nu2)
             th, converged, _ = batched_vector_map(
                 theta[idx], a_eff, beta_pad[idx, :col], correct_pad[idx, :col],
-                cidx_pad[idx, :col], precision, **kw)
+                cidx_pad[idx, :col], events[idx, :col], precision, solver)
             theta[idx] = th
             n_unconverged += int((~converged).sum())
         z = alpha_pad[idx, col] * (theta[idx, cidx_pad[idx, col]] - beta_pad[idx, col])

@@ -191,7 +191,8 @@ def test_initialization_independence():
     rows = np.ones((len(starts), 1))
     theta, converged, _ = batched_vector_map(
         starts, rows * alphas, rows * betas, rows * correct,
-        np.zeros((len(starts), len(pairs)), dtype=np.intp), np.array([[2.0]]),
+        np.zeros((len(starts), len(pairs)), dtype=np.intp), np.ones((len(starts), len(pairs))),
+        np.array([[2.0]]),
     )
     assert converged.all()
     spread = theta.max() - theta.min()
@@ -303,10 +304,10 @@ def _random_padded_problems(rng, n_students, max_events):
 def counted_map(theta0, a, beta, correct, cidx, mask, precision, prior_mean=0.0, **kw):
     """`newton_map` from a cold start on one event per cell, counted where mask is set.
 
-    Cells outside the mask are padding, counted 0 times; mask None counts every cell once.
+    Cells outside the mask are padding, counted 0 times.
     """
-    counts = None if mask is None else mask.astype(float)
-    objective = StackedLogPosterior(a, beta, correct, cidx, counts, precision, prior_mean)
+    objective = StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision,
+                                    prior_mean)
     return newton_map(objective, theta0, **kw)
 
 
@@ -438,11 +439,11 @@ def test_batched_vector_warm_start_lands_on_same_optimum():
     cidx = rng.integers(0, 3, size=(n_students, t))
     mask = np.ones((n_students, t), dtype=bool)
     cold, conv_c, _ = batched_vector_map(
-        np.zeros((n_students, 3)), a, beta, correct, cidx, prior.precision
+        np.zeros((n_students, 3)), a, beta, correct, cidx, mask.astype(float), prior.precision
     )
     warm, conv_w, _ = batched_vector_map(
         cold + rng.normal(scale=0.5, size=cold.shape),
-        a, beta, correct, cidx, prior.precision,
+        a, beta, correct, cidx, mask.astype(float), prior.precision,
     )
     assert conv_c.all() and conv_w.all()
     np.testing.assert_allclose(warm, cold, atol=1e-7)
@@ -481,8 +482,7 @@ def _assert_rows_equal_single_solves(theta0, a, beta, correct, cidx, mask, preci
     for s in range(len(theta0)):
         rows = [s]
         alone = counted_map(theta0[rows], a[rows], beta[rows], correct[rows],
-                            cidx[rows], None if mask is None else mask[rows],
-                            precision, **kw)
+                            cidx[rows], mask[rows], precision, **kw)
         for got, want in zip(batch, alone):
             np.testing.assert_array_equal(got[s], want[0])
     return batch
@@ -500,7 +500,7 @@ def test_retiring_rows_leaves_every_row_bit_identical(prior):
     assert converged.all()
     assert len(np.unique(iterations)) > 1
     _assert_rows_equal_single_solves(theta0, np.where(mask, a, 0.3), beta, correct, cidx,
-                                     None, precision)
+                                     np.ones(mask.shape, dtype=bool), precision)
 
 
 @pytest.mark.parametrize("prior", sorted(RETIREMENT_PRIORS))
@@ -515,7 +515,8 @@ def test_last_live_row_keeps_its_state_while_others_retire(prior):
     mask[2, :5], a[2, :5] = True, 1.0
     others = np.arange(8) != 2
     _, converged, iterations = _assert_rows_equal_single_solves(
-        theta0, a, beta, correct, cidx, mask, precision, max_iter=3)
+        theta0, a, beta, correct, cidx, mask, precision,
+        solver=SolverConfig(max_iterations=3))
     assert not converged[2] and iterations[2] == 3
     assert converged[others].all() and iterations[others].max() <= 1
     _, converged, iterations = _assert_rows_equal_single_solves(
@@ -523,10 +524,11 @@ def test_last_live_row_keeps_its_state_while_others_retire(prior):
     assert converged.all() and iterations[2] >= 4
 
 
-@pytest.mark.parametrize("prior", ["chain", "diamond"])
+@pytest.mark.parametrize("prior", ["one_concept", "diagonal", "chain", "diamond"])
 def test_single_history_core_is_its_row_of_a_batch(prior):
-    # estimate_history solves one history at S = 1; under a coupled prior it
-    # must still land on the bits of the same history's row in a batch
+    # estimate_history solves one history at S = 1; under every prior, one
+    # concept's row sums included, it must land on the bits of the same
+    # history's row in a batch
     precision = RETIREMENT_PRIORS[prior]
     rng = np.random.default_rng(36)
     n_students, t, nu2 = 12, 20, 0.2
@@ -538,7 +540,7 @@ def test_single_history_core_is_its_row_of_a_batch(prior):
     now = 31.0
     a_eff = effective_discriminations(alphas, now - times, nu2)
     batch = batched_vector_map(np.zeros((n_students, len(precision))), a_eff, betas, correct,
-                               cidx, precision)
+                               cidx, np.ones((n_students, t)), precision)
     assert batch[1].all()
     for s in range(n_students):
         alone = estimate_history(alphas[s], betas[s], correct[s], times[s], now, nu2,
@@ -591,10 +593,10 @@ def test_newton_map_from_supplied_terms_matches_a_cold_start(prior, max_iter):
     def rows():
         return StackedLogPosterior(a, beta, correct, cidx, mask.astype(float), precision, 0.25)
 
-    cold = counted_map(theta0, a, beta, correct, cidx, mask, precision, 0.25,
-                       max_iter=max_iter)
+    solver = SolverConfig(max_iterations=max_iter)
+    cold = counted_map(theta0, a, beta, correct, cidx, mask, precision, 0.25, solver=solver)
     terms = list(rows().terms(theta0))
-    warm = newton_map(rows(), theta0, terms, max_iter=max_iter)
+    warm = newton_map(rows(), theta0, terms, solver)
     for got, want in zip(warm, cold):
         _assert_same_bits(got, want)
     theta, converged, iterations = warm
@@ -693,11 +695,12 @@ def test_newton_map_on_counts_from_supplied_terms_matches_a_cold_start(prior, ma
     def rows():
         return StackedLogPosterior(a, beta, correct, cidx, counts, precision, 0.25)
 
-    cold = newton_map(rows(), theta0, max_iter=max_iter)
+    solver = SolverConfig(max_iterations=max_iter)
+    cold = newton_map(rows(), theta0, solver=solver)
     terms = list(rows().terms(theta0))
     stale = counts == 0
     terms[0][stale], terms[1][stale], terms[2][stale] = -3.0, 0.5, -0.25
-    warm = newton_map(rows(), theta0, terms, max_iter=max_iter)
+    warm = newton_map(rows(), theta0, terms, solver)
     for got, want in zip(warm, cold):
         _assert_same_bits(got, want)
     assert warm[1].all() == (max_iter == 100)

@@ -12,6 +12,7 @@ import pytest
 
 from ogive.calibration import ItemBank
 from ogive.concept_graph import chain_graph
+from ogive.dataio import Dataset
 from ogive.irt_core import STATIC, TemporalConfig
 from ogive.simulate import (
     MAX_BANK_ITEMS,
@@ -209,6 +210,26 @@ def test_exponential_arrivals_are_nondecreasing_integers():
         saw_gap |= bool(np.any(np.diff(ts) > 1))
         np.testing.assert_allclose(result.times[sid], ts / 3600.0)
     assert saw_gap
+
+
+def test_generated_dataset_is_already_grouped_and_time_ordered():
+    # short exponential gaps round to 0 seconds, so timestamps tie within a
+    # stream; regrouping and stably re-sorting the records changes nothing
+    result = generate(scenario(
+        inter_arrival="exponential", mean_inter_arrival_seconds=1.0,
+        responses_per_student=(5, 40),
+    ))
+    data = result.dataset
+    records = data.all_records()
+    assert any(a.student_id == b.student_id and a.timestamp == b.timestamp
+               for a, b in zip(records, records[1:]))
+    assert len({len(recs) for recs in data.students.values()}) > 1
+    regrouped = Dataset.from_records(records)
+    assert list(regrouped.students) == list(data.students)
+    assert regrouped.students == data.students
+    for rec in records:
+        assert type(rec.correct) is int and type(rec.timestamp) is int
+        assert type(rec.student_id) is str and type(rec.item_id) is str
 
 
 def test_blocks_assignment_runs_in_multiples_of_block_length():
